@@ -61,7 +61,7 @@ bench-fed:
 		-benchmem -count $(BENCHCOUNT) ./internal/federation/
 
 # Kernel microbenchmarks — the raw event loop, churny cancellation, the
-# batched same-instant drain, and the two intra-run-parallelism cells the
+# chained same-instant drain, and the two intra-run-parallelism cells the
 # sharded kernel work targets. All five sit in the CI benchgate guarded
 # set; this target is the local loop for kernel changes.
 bench-kernel:

@@ -252,7 +252,6 @@ func BenchmarkSimKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := sim.New()
-		e.Grow(live)
 		hs := make([]sim.Handle, live)
 		for j := 0; j < live; j++ {
 			hs[j] = e.Schedule(sim.Time((j*2654435761)%100000), sim.EventFunc(func(*sim.Engine) {}))
@@ -265,9 +264,9 @@ func BenchmarkSimKernelChurn(b *testing.B) {
 }
 
 // BenchmarkScheduleBatch measures bulk same-instant scheduling plus the
-// batched drain: bursts of chained events against singleton spacers, the
+// chained drain: bursts of chained events against singleton spacers, the
 // shape the engine's finish bursts produce. Steady state must be 0
-// allocs/op — every item, bucket slot, and scratch index is recycled.
+// allocs/op — every item is recycled through the free list.
 func BenchmarkScheduleBatch(b *testing.B) {
 	const bursts, width = 1000, 32
 	none := sim.EventFunc(func(*sim.Engine) {})
@@ -283,7 +282,7 @@ func BenchmarkScheduleBatch(b *testing.B) {
 			e.RunUntil(at)
 		}
 	}
-	run() // warm the free list and scratch before counting allocations
+	run() // warm the free list and heap before counting allocations
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -212,7 +212,6 @@ func Restore(cfg machine.Config, pol sched.Policy, cp *Checkpoint) (*Simulator, 
 		s.pending[i] = &j
 	}
 	s.sourcePulled = cp.SourcePulled
-	s.eng.Grow(len(s.pending))
 	s.scheduleInject()
 
 	s.lastPassAt = cp.LastPassAt

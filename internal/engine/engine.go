@@ -213,8 +213,6 @@ func (s *Simulator) Submit(jobs ...*job.Job) {
 	s.stats.Submitted += uint64(len(jobs))
 	s.pending = append(s.pending, jobs...)
 	sort.SliceStable(s.pending, func(i, k int) bool { return s.pending[i].Submit < s.pending[k].Submit })
-	// Finish events are ~1:1 with submissions; pre-size the heap for them.
-	s.eng.Grow(len(jobs))
 	s.scheduleInject()
 }
 
@@ -353,9 +351,10 @@ func (s *Simulator) scheduleFinish(j *job.Job) {
 	// Finishes batch well: a pass that admits a burst of identical
 	// interstitial jobs schedules all their completions back to back at
 	// one instant, so chaining them into a single heap slot (sim.Batch)
-	// turns k sift-ups plus k pops into one of each. The batch rebinds
-	// whenever the finish instant moves; any interleaved scheduling makes
-	// Batch.Add fall back to a plain scheduling by itself.
+	// makes the whole burst cost one sift-up and one sift-down instead of
+	// k of each. The batch rebinds whenever the finish instant moves; any
+	// interleaved scheduling makes Batch.Add fall back to a plain
+	// scheduling by itself.
 	if !s.finishBatch.Bound() || s.finishBatch.At() != at {
 		s.finishBatch = s.eng.NewBatch(at, prioFinish)
 	}

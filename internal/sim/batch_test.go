@@ -10,12 +10,20 @@ func recorder(got *[]int, id int) Event {
 	return EventFunc(func(*Engine) { *got = append(*got, id) })
 }
 
-func TestScheduleBatchFiresInOrder(t *testing.T) {
+// batch schedules evs at (at, 0) through one Batch, in argument order.
+func batch(e *Engine, at Time, evs ...Event) {
+	b := e.NewBatch(at, 0)
+	for _, ev := range evs {
+		b.Add(ev)
+	}
+}
+
+func TestBatchFiresInOrder(t *testing.T) {
 	e := New()
 	var got []int
 	e.Schedule(5, recorder(&got, 100))
-	e.ScheduleBatch(3, recorder(&got, 0), recorder(&got, 1), recorder(&got, 2))
-	e.ScheduleBatch(3, recorder(&got, 3), recorder(&got, 4))
+	batch(e, 3, recorder(&got, 0), recorder(&got, 1), recorder(&got, 2))
+	batch(e, 3, recorder(&got, 3), recorder(&got, 4))
 	e.Schedule(3, recorder(&got, 5))
 	e.Run()
 	want := []int{0, 1, 2, 3, 4, 5, 100}
@@ -44,11 +52,29 @@ func TestBatchInterleavedWithSchedules(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fire order %v, want %v", got, want)
 	}
+
+	// An unbroken chain whose head is taken while plain schedulings at the
+	// same (at, prio) and at a later phase sit in the heap below it: each
+	// member hands the root slot to its successor without a sift, and the
+	// slot must still order before every one of them.
+	got = got[:0]
+	c := e.NewBatch(20, 0)
+	c.Add(recorder(&got, 0))
+	c.Add(recorder(&got, 1))
+	c.Add(recorder(&got, 2))
+	e.SchedulePrio(20, 1, recorder(&got, 3))  // later phase
+	e.Schedule(20, recorder(&got, 4))         // same key, later seq
+	e.SchedulePrio(20, -1, recorder(&got, 5)) // earlier phase, fires first
+	e.Schedule(20, recorder(&got, 6))
+	e.RunUntil(20)
+	want = []int{5, 0, 1, 2, 4, 6, 3}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fire order %v, want %v", got, want)
+	}
 }
 
 // Cancelling a later batch member from inside the same instant's drain
-// must suppress it, even though the whole instant was extracted from the
-// heap in one operation before any of it executed.
+// must suppress it, even though it shares the firing member's heap slot.
 func TestCancelInsideSameInstantBatchDrain(t *testing.T) {
 	e := New()
 	var got []int
@@ -71,12 +97,28 @@ func TestCancelInsideSameInstantBatchDrain(t *testing.T) {
 	}
 }
 
+// A Batch held past its instant must not chain onto a tail that already
+// fired: once the clock reaches the batch instant, Add falls back to a
+// plain scheduling, which still fires at that instant.
+func TestBatchAddAfterTailFired(t *testing.T) {
+	e := New()
+	var got []int
+	b := e.NewBatch(5, 0)
+	b.Add(recorder(&got, 0))
+	e.RunUntil(5)
+	b.Add(recorder(&got, 1))
+	e.Run()
+	if fmt.Sprint(got) != fmt.Sprint([]int{0, 1}) {
+		t.Fatalf("fired %v, want [0 1]", got)
+	}
+}
+
 // RunUntil with the deadline exactly on a batched instant must fire the
 // whole batch and leave the clock on the deadline.
 func TestRunUntilLandsOnBatchedInstant(t *testing.T) {
 	e := New()
 	var got []int
-	e.ScheduleBatch(9, recorder(&got, 0), recorder(&got, 1), recorder(&got, 2))
+	batch(e, 9, recorder(&got, 0), recorder(&got, 1), recorder(&got, 2))
 	e.Schedule(10, recorder(&got, 99))
 	e.RunUntil(9)
 	if fmt.Sprint(got) != fmt.Sprint([]int{0, 1, 2}) {
@@ -95,12 +137,12 @@ func TestRunUntilLandsOnBatchedInstant(t *testing.T) {
 }
 
 // An event scheduled for the current instant from inside that instant's
-// drain joins the in-flight bucket and fires before the clock moves on,
-// ordered by (prio, seq) among the remaining events.
+// drain fires before the clock moves on, ordered by (prio, seq) among the
+// remaining events — including the rest of the firing event's chain.
 func TestScheduleIntoCurrentInstant(t *testing.T) {
 	e := New()
 	var got []int
-	e.ScheduleBatch(4,
+	batch(e, 4,
 		EventFunc(func(e *Engine) {
 			got = append(got, 0)
 			e.Schedule(4, recorder(&got, 9))         // same prio: after remaining seq-order peers
@@ -161,27 +203,24 @@ func TestSpanJumpStats(t *testing.T) {
 	e := New()
 	none := EventFunc(func(*Engine) {})
 	e.Schedule(10, none)
-	e.ScheduleBatch(1000, none, none, none)
+	batch(e, 1000, none, none, none)
 	e.Run()
 	st := e.Stats()
 	if st.SpanJumps != 2 {
 		t.Fatalf("SpanJumps = %d, want 2 (0->10, 10->1000)", st.SpanJumps)
 	}
-	if want := uint64(9 + 989); st.InstantsSkipped != want {
-		t.Fatalf("InstantsSkipped = %d, want %d", st.InstantsSkipped, want)
-	}
 }
 
 // Steady-state batched scheduling and same-instant draining must not
-// allocate: everything cycles through the free list and reused scratch.
+// allocate: everything cycles through the free list and the heap slice.
 func TestBatchSteadyStateAllocFree(t *testing.T) {
 	e := New()
 	none := EventFunc(func(*Engine) {})
-	// Warm up the free list, bucket, and scratch slices.
-	e.ScheduleBatch(e.Now()+1, none, none, none, none)
+	// Warm up the free list and the heap slice.
+	batch(e, e.Now()+1, none, none, none, none)
 	e.Run()
 	avg := testing.AllocsPerRun(100, func() {
-		e.ScheduleBatch(e.Now()+1, none, none, none, none)
+		batch(e, e.Now()+1, none, none, none, none)
 		e.Run()
 	})
 	if avg != 0 {

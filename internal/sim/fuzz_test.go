@@ -7,11 +7,11 @@ import (
 )
 
 // refEngine is a deliberately naive reference kernel built on the stdlib
-// container/heap: one item per scheduling (no batch chains, no bucket, no
-// free list), total order (at, prio, seq). FuzzEventHeap drives it and the
-// real Engine with the same operation stream and demands identical fire
-// order, clock, and pending count — a differential check that the chained
-// heap slots, subtree extraction, and span jumps are pure optimizations.
+// container/heap: one item per scheduling (no batch chains, no free list),
+// total order (at, prio, seq). FuzzEventHeap drives it and the real Engine
+// with the same operation stream and demands identical fire order, clock,
+// and pending count — a differential check that the chained heap slots
+// and span jumps are pure optimizations.
 type refEngine struct {
 	h     refHeap
 	now   Time
@@ -25,7 +25,20 @@ type refItem struct {
 	seq  uint64
 	id   int
 	dead bool
+	// spawn, when set, is the child the event schedules as it fires.
+	spawn *childSpec
 }
+
+// childSpec is an event scheduled from inside a firing event, at the
+// firing instant plus dt. dt may be 0: the child joins the current instant.
+type childSpec struct {
+	dt   Time
+	prio int
+}
+
+// childID names the child an event with id spawns; ids of schedulings
+// made between runs stay far below it.
+func childID(id int) int { return id + 1<<20 }
 
 type refHeap []*refItem
 
@@ -58,7 +71,9 @@ func (r *refEngine) schedule(at Time, prio, id int) *refItem {
 	return it
 }
 
-func (r *refEngine) runUntil(deadline Time) {
+// runUntil fires events up to deadline; spawned holds every child
+// scheduled along the way, in the order they were scheduled.
+func (r *refEngine) runUntil(deadline Time, spawned *[]*refItem) {
 	for len(r.h) > 0 {
 		top := r.h[0]
 		if top.at > deadline {
@@ -70,6 +85,9 @@ func (r *refEngine) runUntil(deadline Time) {
 		}
 		r.now = top.at
 		r.fired = append(r.fired, top.id)
+		if c := top.spawn; c != nil {
+			*spawned = append(*spawned, r.schedule(r.now+c.dt, c.prio, childID(top.id)))
+		}
 	}
 	if r.now < deadline {
 		r.now = deadline
@@ -87,15 +105,17 @@ func (r *refEngine) pending() int {
 }
 
 // FuzzEventHeap replays a byte-encoded operation stream — schedules,
-// batched schedules, cancels, partial runs — against the real kernel and
-// the reference heap, comparing the (at, prio, seq) fire order they
-// induce. Cancels hit the same ordinal scheduling on both sides, so stale
-// and chained-handle cases are exercised too.
+// batched schedules, events that schedule a child as they fire, cancels,
+// partial runs — against the real kernel and the reference heap,
+// comparing the (at, prio, seq) fire order they induce. Cancels hit the
+// same ordinal scheduling on both sides, so stale, chained-handle and
+// spawned-child cases are exercised too.
 func FuzzEventHeap(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 1, 3, 0, 4, 3, 30})
 	f.Add([]byte{1, 2, 2, 2, 0, 3, 60})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 2, 1, 2, 2, 3, 10, 0, 1, 1, 3, 40})
 	f.Add([]byte{2, 9, 3, 0, 2, 9, 3, 1, 2, 1, 2, 5, 3, 200})
+	f.Add([]byte{4, 3, 0, 0, 1, 1, 3, 1, 2, 4, 3, 0, 0, 0, 4, 3, 2, 0, 2, 2, 2, 3, 5, 4, 1, 1, 3, 0, 3, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := New()
 		r := &refEngine{}
@@ -112,6 +132,22 @@ func FuzzEventHeap(f *testing.F) {
 			})))
 			refItems = append(refItems, r.schedule(at, prio, id))
 		}
+		// spawner schedules an event that, as it fires, schedules child c
+		// on both sides; the child's handle joins the cancellable set.
+		spawner := func(at Time, prio int, c childSpec) {
+			id := nextID
+			nextID++
+			handles = append(handles, e.SchedulePrio(at, prio, EventFunc(func(e *Engine) {
+				gotFired = append(gotFired, id)
+				cid := childID(id)
+				handles = append(handles, e.SchedulePrio(e.Now()+c.dt, c.prio, EventFunc(func(*Engine) {
+					gotFired = append(gotFired, cid)
+				})))
+			})))
+			it := r.schedule(at, prio, id)
+			it.spawn = &c
+			refItems = append(refItems, it)
+		}
 
 		i := 0
 		next := func() byte {
@@ -123,7 +159,7 @@ func FuzzEventHeap(f *testing.F) {
 			return b
 		}
 		for steps := 0; i < len(data) && steps < 512; steps++ {
-			switch next() % 4 {
+			switch next() % 5 {
 			case 0: // single scheduling
 				at := e.Now() + Time(next()%32)
 				schedule(at, int(next()%3))
@@ -149,15 +185,22 @@ func FuzzEventHeap(f *testing.F) {
 			case 3: // partial run
 				d := e.Now() + Time(next()%64)
 				e.RunUntil(d)
-				r.runUntil(d)
+				r.runUntil(d, &refItems)
 				if e.Now() != r.now {
 					t.Fatalf("clock diverged: engine %d, reference %d", e.Now(), r.now)
 				}
+				if len(handles) != len(refItems) {
+					t.Fatalf("spawned children diverged: engine %d schedulings, reference %d", len(handles), len(refItems))
+				}
+			case 4: // an event that schedules a child at its instant + dt
+				at := e.Now() + Time(next()%32)
+				prio := int(next() % 3)
+				spawner(at, prio, childSpec{dt: Time(next() % 4), prio: int(next() % 3)})
 			}
 		}
 		// Drain both completely and compare the full fire order.
 		e.RunUntil(Infinity - 1)
-		r.runUntil(Infinity - 1)
+		r.runUntil(Infinity-1, &refItems)
 		if fmt.Sprint(gotFired) != fmt.Sprint(r.fired) {
 			t.Fatalf("fire order diverged:\nengine    %v\nreference %v", gotFired, r.fired)
 		}

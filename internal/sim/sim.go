@@ -13,27 +13,22 @@
 // the sequence number of the scheduling it refers to; a Cancel on a handle
 // whose item has since been reused is a no-op.
 //
-// Two batching mechanisms amortize the heap work of bursty workloads
-// (thousands of identical interstitial jobs finishing at one instant):
-//
-//   - A Batch chains events that share one (at, prio) key into a single
-//     heap slot, so k same-instant schedulings cost one sift-up.
-//   - The run loop extracts every event at the current instant from the
-//     heap in one consolidated fixup (the equal-key nodes form a connected
-//     subtree containing the root) and drains them from a flat bucket,
-//     instead of paying a full pop/sift cycle per event.
+// Bursty workloads (thousands of identical interstitial jobs finishing at
+// one instant) are amortized by one mechanism: a Batch chains events that
+// share one (at, prio) key into a single heap slot, so k same-instant
+// schedulings cost one sift-up, and the run loop hands the slot down the
+// chain without a sift, so the burst costs one sift-down.
 //
 // Simulated time is measured in integer seconds from the start of the
 // simulation (Time). All higher layers (machines, schedulers, the
 // interstitial controller) share this time base. The clock advances by
 // jumping straight to the next event's instant — empty time costs nothing
-// — and Stats counts the jumps and the instants they skipped.
+// — and Stats counts the jumps.
 package sim
 
 import (
 	"context"
 	"fmt"
-	"slices"
 )
 
 // Time is simulated time in seconds since the simulation epoch.
@@ -69,9 +64,10 @@ func (f EventFunc) Execute(e *Engine) { f(e) }
 //
 // next links a batch chain: events scheduled through a Batch with the same
 // (at, prio) and consecutive seqs hang off the first item's next pointers,
-// occupying a single heap slot. The chain is expanded — in seq order, which
-// is exactly (at, prio, seq) order because no other scheduling can
-// interleave a consecutive-seq run — when its head leaves the heap.
+// occupying a single heap slot. When the head leaves the heap its
+// successor takes over the slot (see take) — in seq order, which is
+// exactly (at, prio, seq) order because no other scheduling can
+// interleave a consecutive-seq run.
 type item struct {
 	at    Time
 	seq   uint64
@@ -118,22 +114,9 @@ type Engine struct {
 	executed uint64
 	stopped  bool
 
-	// Current-instant bucket: when the run loop enters an instant it moves
-	// every heap event at that instant into cur (sorted by (prio, seq))
-	// and drains cur[curIdx:] one event at a time. While the bucket is
-	// active (inInstant) a scheduling at the current instant inserts into
-	// the bucket directly — O(1) for the common append — instead of a heap
-	// push that the same instant would immediately pop back out.
-	cur       []*item
-	curIdx    int
-	curAt     Time
-	inInstant bool
-	// posScratch is extractInstant's reusable index scratch.
-	posScratch []int
-
 	// npending counts live-or-cancelled events not yet fired or drained.
 	// It exists because batch chains keep len(events) below the true
-	// pending count, and the bucket holds events outside the heap.
+	// pending count.
 	npending int
 
 	// Kernel counters. These are plain ints, not atomics: an Engine is
@@ -145,11 +128,8 @@ type Engine struct {
 	drained uint64 // cancelled events removed without firing
 	heapHW  int    // pending-set high-water mark
 
-	// Span-advancement counters: spanJumps counts forward clock jumps in
-	// the run loop, instantsSkipped the empty integer instants those jumps
-	// passed over without stepping through them.
-	spanJumps       uint64
-	instantsSkipped uint64
+	// spanJumps counts forward clock jumps in the run loop.
+	spanJumps uint64
 
 	// Cooperative cancellation (SetContext): Run and RunUntil poll done
 	// every cancelCheckEvery events and bail out with interrupted set.
@@ -225,26 +205,22 @@ type Stats struct {
 	// HeapHighWater is the largest pending-event set ever held.
 	HeapHighWater int
 	// SpanJumps counts the run loop's forward clock jumps (advances to a
-	// strictly later instant); InstantsSkipped sums the empty integer
-	// instants those jumps passed over. A jump from t to t+1 skips zero
-	// instants; a jump from t to t+3600 skips 3599 — the kernel never
-	// steps through empty time, and these counters make the saved work
-	// observable.
-	SpanJumps, InstantsSkipped uint64
+	// strictly later instant). The kernel never steps through empty time:
+	// a jump from t to t+3600 is one jump, like a jump from t to t+1.
+	SpanJumps uint64
 }
 
 // Stats reports the kernel's counters so far. Like every Engine method it
 // must be called from the simulation's goroutine.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Scheduled:       e.seq,
-		Executed:        e.executed,
-		Drained:         e.drained,
-		FreeListHits:    e.seq - e.allocs,
-		FreeListMisses:  e.allocs,
-		HeapHighWater:   e.heapHW,
-		SpanJumps:       e.spanJumps,
-		InstantsSkipped: e.instantsSkipped,
+		Scheduled:      e.seq,
+		Executed:       e.executed,
+		Drained:        e.drained,
+		FreeListHits:   e.seq - e.allocs,
+		FreeListMisses: e.allocs,
+		HeapHighWater:  e.heapHW,
+		SpanJumps:      e.spanJumps,
 	}
 }
 
@@ -263,17 +239,6 @@ func (e *Engine) Pending() int { return e.npending }
 
 // Stop halts Run before the next event fires.
 func (e *Engine) Stop() { e.stopped = true }
-
-// Grow pre-sizes the pending set for n more events, so a bulk scheduling
-// phase (e.g. injecting a whole job log) does not re-grow the heap
-// repeatedly.
-func (e *Engine) Grow(n int) {
-	if need := len(e.events) + n; need > cap(e.events) {
-		grown := make([]*item, len(e.events), need)
-		copy(grown, e.events)
-		e.events = grown
-	}
-}
 
 // Schedule enqueues ev to fire at time at. It panics if at precedes the
 // current clock, since time travel indicates a logic error in the caller.
@@ -315,27 +280,8 @@ func (e *Engine) schedule(at Time, prio int, ev Event) Handle {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", at, e.now))
 	}
 	it := e.newItem(at, prio, ev)
-	if e.inInstant && at == e.now && e.curAt == e.now {
-		e.bucketInsert(it)
-	} else {
-		e.push(it)
-	}
+	e.push(it)
 	return Handle{it: it, seq: it.seq}
-}
-
-// bucketInsert places a current-instant scheduling into the active bucket
-// at its (prio, seq) position among the unfired remainder. The new item
-// carries the largest seq, so it lands after every remaining item with an
-// equal-or-lower prio — in the engine's phase discipline that is almost
-// always the end of the bucket, making the insert an O(1) append.
-func (e *Engine) bucketInsert(it *item) {
-	i := len(e.cur)
-	for i > e.curIdx && it.prio < e.cur[i-1].prio {
-		i--
-	}
-	e.cur = append(e.cur, nil)
-	copy(e.cur[i+1:], e.cur[i:])
-	e.cur[i] = it
 }
 
 // ScheduleAfter enqueues ev to fire d seconds from now.
@@ -345,7 +291,8 @@ func (e *Engine) ScheduleAfter(d Time, ev Event) Handle {
 
 // A Batch schedules runs of events that share one (at, prio) key as chains
 // occupying a single heap slot: the first event of a run pays the normal
-// sift-up, every following one is an O(1) link onto the chain's tail. Fire
+// sift-up, every following one is an O(1) link onto the chain's tail, and
+// only the last to fire pays a sift-down as the slot leaves the heap. Fire
 // order is identical to the same sequence of SchedulePrio calls — chained
 // events hold consecutive sequence numbers, so no other scheduling can
 // order between them — and each Add still returns an independently
@@ -399,16 +346,6 @@ func (b *Batch) Add(ev Event) Handle {
 	h := e.schedule(b.at, b.prio, ev)
 	b.tail = h.it
 	return h
-}
-
-// ScheduleBatch schedules evs to fire at time at (priority 0) in argument
-// order, as one bulk heap operation: one sift-up for the whole run instead
-// of one per event. Equivalent to calling Schedule(at, ev) for each ev.
-func (e *Engine) ScheduleBatch(at Time, evs ...Event) {
-	b := e.NewBatch(at, 0)
-	for _, ev := range evs {
-		b.Add(ev)
-	}
 }
 
 // The pending set is a 4-ary min-heap: children of i sit at 4i+1..4i+4.
@@ -475,98 +412,6 @@ func (e *Engine) siftDown(i int) {
 	}
 }
 
-// extractInstant moves every heap event at instant t — the heap minimum —
-// into the current-instant bucket with one consolidated fixup, expanding
-// batch chains along the way. The nodes with at == t form a connected
-// subtree containing the root (an ancestor of an at==t node has at <= t,
-// and t is the minimum), so they are collected by a walk that descends
-// only into equal-instant children; the vacated positions are then
-// refilled from the array tail deepest-first, each with a single
-// sift-down that starts mid-tree instead of at the root. The bucket is
-// sorted by (prio, seq) — within one instant that is the full event
-// order — and drained flat by step.
-func (e *Engine) extractInstant(t Time) {
-	h := e.events
-	// Collect the at==t subtree. Scanning pos as a queue yields strictly
-	// ascending positions: parents are processed in ascending order and
-	// child ranges [4i+1, 4i+4] are ascending and disjoint in i.
-	pos := append(e.posScratch[:0], 0)
-	for k := 0; k < len(pos); k++ {
-		first := heapArity*pos[k] + 1
-		last := first + heapArity
-		if last > len(h) {
-			last = len(h)
-		}
-		for c := first; c < last; c++ {
-			if h[c].at == t {
-				pos = append(pos, c)
-			}
-		}
-	}
-	e.posScratch = pos
-
-	// Move the items out, expanding batch chains in link order (ascending
-	// seq; the sort below restores the global (prio, seq) order anyway).
-	for _, p := range pos {
-		for it := h[p]; it != nil; {
-			next := it.next
-			it.next = nil
-			e.cur = append(e.cur, it)
-			it = next
-		}
-	}
-
-	// Refill the vacated positions deepest-first. The filler taken from
-	// the shrinking tail is never itself a vacated slot (remaining
-	// positions are all shallower than the one being filled), and a
-	// sift-down from position p only touches p's subtree, whose removed
-	// nodes have already been replaced.
-	n := len(h)
-	for k := len(pos) - 1; k >= 0; k-- {
-		p := pos[k]
-		n--
-		moved := p != n
-		if moved {
-			h[p] = h[n]
-		}
-		h[n] = nil
-		e.events = h[:n]
-		if moved {
-			e.siftDown(p)
-		}
-	}
-
-	e.curAt = t
-	e.inInstant = true
-	if len(e.cur) > 1 {
-		sortBucket(e.cur)
-	}
-}
-
-// sortBucket orders one instant's events by (prio, seq). Buckets are
-// usually tiny (a finish burst, a submit, a pass), so small inputs take a
-// branch-light insertion sort; large bursts fall through to pdqsort.
-func sortBucket(b []*item) {
-	if len(b) <= 16 {
-		for i := 1; i < len(b); i++ {
-			it := b[i]
-			k := i
-			for k > 0 && it.before(b[k-1]) {
-				b[k] = b[k-1]
-				k--
-			}
-			b[k] = it
-		}
-		return
-	}
-	slices.SortFunc(b, func(x, y *item) int {
-		if x.before(y) {
-			return -1
-		}
-		return 1
-	})
-}
-
 // recycle returns a fired or drained item to the free list.
 func (e *Engine) recycle(it *item) {
 	it.event = nil
@@ -574,83 +419,44 @@ func (e *Engine) recycle(it *item) {
 	e.free = append(e.free, it)
 }
 
-// childAt reports whether any child of heap position i shares instant t.
-func (e *Engine) childAt(i int, t Time) bool {
-	h := e.events
-	first := heapArity*i + 1
-	last := first + heapArity
-	if last > len(h) {
-		last = len(h)
+// take removes and returns the heap minimum. A batch-chain head hands its
+// heap slot to its chain successor without a sift: the successor has the
+// head's (at, prio) and the next seq, so nothing pending can order between
+// them and the slot's heap position stays valid. Any other root pops.
+// The caller recycles the returned item, which clears its chain link.
+func (e *Engine) take() (top *item) {
+	top = e.events[0]
+	if top.next == nil {
+		return e.pop()
 	}
-	for c := first; c < last; c++ {
-		if h[c].at == t {
-			return true
-		}
-	}
-	return false
+	e.events[0] = top.next
+	return top
 }
 
 // step fires the next live event, advancing the clock. It reports false
 // when no live events remain.
 func (e *Engine) step() bool {
-	for {
-		// Drain the current instant's bucket. Slots are nil'd as they
-		// drain, so the truncation below needs no clear pass.
-		for e.curIdx < len(e.cur) {
-			it := e.cur[e.curIdx]
-			e.cur[e.curIdx] = nil
-			e.curIdx++
-			e.npending--
-			if it.dead {
-				e.drained++
-				e.recycle(it)
-				continue
-			}
-			// Advance the clock lazily, on the instant's first live
-			// event: a jump on extraction would move time for instants
-			// that turn out to be all-cancelled.
-			if e.curAt > e.now {
-				e.spanJumps++
-				e.instantsSkipped += uint64(e.curAt-e.now) - 1
-				e.now = e.curAt
-			}
-			e.executed++
-			ev := it.event
+	for len(e.events) > 0 {
+		it := e.take()
+		e.npending--
+		if it.dead {
+			e.drained++
 			e.recycle(it)
-			ev.Execute(e)
-			return true
+			continue
 		}
-		e.cur = e.cur[:0]
-		e.curIdx = 0
-		e.inInstant = false
-		if len(e.events) == 0 {
-			return false
+		// The clock moves on an instant's first live event, so an
+		// all-cancelled instant drains without a jump.
+		if it.at > e.now {
+			e.spanJumps++
+			e.now = it.at
 		}
-		top := e.events[0]
-		if top.next == nil && !e.childAt(0, top.at) {
-			// Singleton instant — the dominant case in sparse simulations.
-			// Fire the root directly and skip the bucket entirely: no
-			// scratch traffic, just the plain pop a classic kernel does.
-			e.pop()
-			e.npending--
-			if top.dead {
-				e.drained++
-				e.recycle(top)
-				continue
-			}
-			if top.at > e.now {
-				e.spanJumps++
-				e.instantsSkipped += uint64(top.at-e.now) - 1
-				e.now = top.at
-			}
-			e.executed++
-			ev := top.event
-			e.recycle(top)
-			ev.Execute(e)
-			return true
-		}
-		e.extractInstant(top.at)
+		e.executed++
+		ev := it.event
+		e.recycle(it)
+		ev.Execute(e)
+		return true
 	}
+	return false
 }
 
 // Run executes events until the pending set is empty, Stop is called, or
@@ -701,19 +507,9 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// PeekTime reports the timestamp of the next live event.
+// PeekTime reports the timestamp of the next live event, draining any
+// cancelled events ahead of it.
 func (e *Engine) PeekTime() (Time, bool) {
-	for e.curIdx < len(e.cur) {
-		it := e.cur[e.curIdx]
-		if !it.dead {
-			return e.curAt, true
-		}
-		e.cur[e.curIdx] = nil
-		e.curIdx++
-		e.npending--
-		e.drained++
-		e.recycle(it)
-	}
 	for len(e.events) > 0 {
 		top := e.events[0]
 		if !top.dead {
@@ -721,17 +517,7 @@ func (e *Engine) PeekTime() (Time, bool) {
 		}
 		e.npending--
 		e.drained++
-		if next := top.next; next != nil {
-			// A dead batch-chain head: promote the next chain member into
-			// the head's heap slot. It shares the head's (at, prio) and no
-			// pending event can order between consecutive chain seqs, so
-			// the slot's heap position stays valid without a sift.
-			top.next = nil
-			e.events[0] = next
-			e.recycle(top)
-			continue
-		}
-		e.recycle(e.pop())
+		e.recycle(e.take())
 	}
 	return 0, false
 }
