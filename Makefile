@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover bench bench-sched bench-fed bench-kernel fuzz paper extensions examples trace-demo clean
+.PHONY: all build test cover bench bench-sched bench-fed bench-kernel bench-omni fuzz paper extensions examples trace-demo clean
 
 all: build test
 
@@ -68,9 +68,18 @@ bench-kernel:
 	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel$$|BenchmarkSimKernelChurn$$|BenchmarkScheduleBatch$$|BenchmarkIntraCellShards$$|BenchmarkAblationJobWidth$$)' \
 		-benchmem -count $(BENCHCOUNT) .
 
+# Omniscient packing end to end: one uncached advisor sweep on a warm lab
+# (the cold-plan path), one PlanOmniscient call, and a Table 2
+# regeneration. Not in the CI benchgate set: at -benchtime 1x the packing
+# benchmark spreads too widely for a 15% gate.
+bench-omni:
+	$(GO) test -run '^$$' -bench '^BenchmarkAdvisorSweep$$' -benchmem -count $(BENCHCOUNT) ./internal/advisor/
+	$(GO) test -run '^$$' -bench '^(BenchmarkOmniscientPacking|BenchmarkTable2)$$' -benchmem -count $(BENCHCOUNT) .
+
 # Each fuzz target gets its own run (go test allows one -fuzz at a time).
 fuzz:
 	$(GO) test -fuzz FuzzEventHeap -fuzztime 30s ./internal/sim/
+	$(GO) test -fuzz FuzzPackProject -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzMachineByName -fuzztime 30s .
 	$(GO) test -fuzz FuzzRoutePolicy -fuzztime 30s ./internal/federation/

@@ -13,9 +13,10 @@
 //     (machine, seed, scale), memoized through an experiments.Lab — the
 //     same per-key singleflight artifact store the paper harness uses, so
 //     concurrent identical questions coalesce onto one simulation.
-//  2. Sweep: the shape grid (CPUs/job × job length) is packed into the
-//     baseline's free capacity with PlanOmniscient and scored on makespan
-//     with a soft worst-case native-delay penalty.
+//  2. Sweep: the shape grid (CPUs/job × job length) is packed into one
+//     tiled free timeline of the baseline (core.PackProject, as
+//     PlanOmniscient does per shape) and scored on makespan with a soft
+//     worst-case native-delay penalty.
 //  3. Render: the ranked table in the CLI's exact byte format, so the
 //     one-shot CLI and the service answer identically (pinned by test).
 //
@@ -36,6 +37,7 @@ import (
 	"text/tabwriter"
 
 	"interstitial"
+	"interstitial/internal/core"
 	"interstitial/internal/experiments"
 	"interstitial/internal/job"
 	"interstitial/internal/testbed"
@@ -234,6 +236,15 @@ func (c *Core) PlanDegraded(ctx context.Context, req Request) (*Plan, error) {
 // score break on makespan, then width, then length.
 func sweep(sys testbed.System, ran []*job.Job, utilNat float64, req Request, degraded bool) (*Plan, error) {
 	start := sys.Workload.Duration() / 8
+	// Every shape packs the same project size from the same start, so one
+	// tiled timeline (what PlanOmniscient builds per call) serves the whole
+	// grid; packing only reads it.
+	horizon := sys.Workload.Duration()
+	copies := core.TimelineCopies(horizon, start, interstitial.TheoreticalMakespan(sys, req.PetaCycles))
+	free, err := core.FreeTimeline(ran, sys.Workload.Machine.CPUs, horizon, copies)
+	if err != nil {
+		return nil, fmt.Errorf("advisor: free timeline of %s: %w", req.Machine, err)
+	}
 	var cands []Candidate
 	for _, cpus := range sweepCPUs {
 		for _, sec := range sweepSecs {
@@ -242,13 +253,13 @@ func sweep(sys testbed.System, ran []*job.Job, utilNat float64, req Request, deg
 				continue
 			}
 			p := interstitial.ProjectSpec{PetaCycles: req.PetaCycles, KJobs: k, CPUsPerJob: cpus}
-			ms, err := interstitial.PlanOmniscient(sys, ran, p, start)
+			res, err := core.PackProject(free, p.JobSpecFor(sys.Workload.Machine.ClockGHz), start, k)
 			if err != nil {
 				continue // job bigger than the machine's spare pool
 			}
 			c := Candidate{
 				CPUs: cpus, Sec1GHz: sec, Jobs: k,
-				MakespanH:         ms.HoursF(),
+				MakespanH:         res.Makespan.HoursF(),
 				Breakage:          interstitial.Breakage(sys, cpus),
 				WorstNativeDelayS: int64(sys.Seconds1GHz(sec)),
 			}

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"interstitial/internal/job"
 	"interstitial/internal/profile"
@@ -34,9 +35,6 @@ func FreeTimeline(baseline []*job.Job, totalCPUs int, horizon sim.Time, copies i
 		if e < 0 {
 			e = j.Start + j.Runtime
 		}
-		if s < 0 {
-			s = 0
-		}
 		if e > horizon {
 			e = horizon
 		}
@@ -45,7 +43,9 @@ func FreeTimeline(baseline []*job.Job, totalCPUs int, horizon sim.Time, copies i
 		}
 		ds = append(ds, delta{s, -j.CPUs}, delta{e, +j.CPUs})
 	}
-	sort.Slice(ds, func(i, k int) bool { return ds[i].at < ds[k].at })
+	// Same-instant deltas are summed before a breakpoint is written, so
+	// their order among themselves cannot show.
+	slices.SortFunc(ds, func(a, b delta) int { return cmp.Compare(a.at, b.at) })
 
 	// One period of the step function.
 	var times []sim.Time
@@ -92,6 +92,14 @@ func FreeTimeline(baseline []*job.Job, totalCPUs int, horizon sim.Time, copies i
 	return profile.FromSteps(times, free)
 }
 
+// TimelineCopies is how many log periods of length horizon FreeTimeline
+// tiles for a project started at startAt whose ideal-law makespan is
+// idealS seconds: enough to run three ideal makespans past the start, plus
+// two periods of slack.
+func TimelineCopies(horizon, startAt sim.Time, idealS float64) int {
+	return int((float64(startAt)+idealS*3)/float64(horizon)) + 2
+}
+
 // MustFreeTimeline is FreeTimeline for recorded baselines known good by
 // construction (a just-completed simulation); it panics on error.
 func MustFreeTimeline(baseline []*job.Job, totalCPUs int, horizon sim.Time, copies int) *profile.Profile {
@@ -120,11 +128,12 @@ type OmniscientResult struct {
 }
 
 // PackProject greedily packs kJobs identical jobs (spec) into the free
-// timeline starting at startAt, reserving capacity as it goes (the profile
-// is mutated). Greedy-earliest matches the paper's submission rule: a job
-// starts the moment enough CPUs are free for its whole runtime. Because
-// natives follow the recorded timeline exactly, they are unaffected — the
-// paper's definition of omniscient interstitial computing.
+// timeline starting at startAt (Profile.Pack). Greedy-earliest matches the
+// paper's submission rule: a job starts the moment enough CPUs are free for
+// its whole runtime. Because natives follow the recorded timeline exactly,
+// they are unaffected — the paper's definition of omniscient interstitial
+// computing. The timeline is only read, so callers may share one between
+// packs, concurrent ones included.
 func PackProject(free *profile.Profile, spec JobSpec, startAt sim.Time, kJobs int) (OmniscientResult, error) {
 	return PackProjectTraced(free, spec, startAt, kJobs, nil)
 }
@@ -142,33 +151,17 @@ func PackProjectTraced(free *profile.Profile, spec JobSpec, startAt sim.Time, kJ
 		return OmniscientResult{}, fmt.Errorf("core: packing %d jobs", kJobs)
 	}
 	res := OmniscientResult{WorkCPUSeconds: float64(kJobs) * float64(spec.CPUs) * float64(spec.Runtime)}
-	remaining := kJobs
-	frontier := startAt
-	var lastEnd sim.Time
-	for remaining > 0 {
-		t, ok := free.EarliestFit(frontier, spec.CPUs, spec.Runtime)
-		if !ok {
-			return res, fmt.Errorf("core: no fit for %d-CPU job; machine smaller than job?", spec.CPUs)
-		}
-		q := free.MinFree(t, t+spec.Runtime) / spec.CPUs
-		if q < 1 {
-			return res, fmt.Errorf("core: EarliestFit/MinFree disagree at %d", t)
-		}
-		if q > remaining {
-			q = remaining
-		}
-		free.Reserve(t, q*spec.CPUs, spec.Runtime)
+	ok := free.Pack(startAt, spec.CPUs, spec.Runtime, kJobs, func(t sim.Time, q int) {
 		if tr != nil {
 			tr.Emit(t, tracing.KindPlace, tracing.ReasonOmniscientPack,
 				len(res.Batches), q*spec.CPUs, tracing.NoBusy, int64(q))
 		}
 		res.Batches = append(res.Batches, Batch{Start: t, Jobs: q})
-		remaining -= q
-		if end := t + spec.Runtime; end > lastEnd {
-			lastEnd = end
-		}
-		frontier = t
+	})
+	if !ok {
+		return res, fmt.Errorf("core: no fit for %d-CPU job; machine smaller than job?", spec.CPUs)
 	}
-	res.Makespan = lastEnd - startAt
+	// Batches start in order, so the last one ends last.
+	res.Makespan = res.Batches[len(res.Batches)-1].Start + spec.Runtime - startAt
 	return res, nil
 }

@@ -53,7 +53,7 @@ type t2cell struct {
 	proj   core.ProjectSpec
 	spec   core.JobSpec
 	ideal  float64
-	free   *profile.Profile
+	free   *profile.Profile // the tiled timeline every rep packs into; packing only reads it
 	starts []sim.Time
 	hours  []float64
 	errs   []error
@@ -99,7 +99,7 @@ func Table2(l *Lab) (*Table2Result, error) {
 		// any start inside the first period.
 		spec := p.JobSpecFor(b.sys.Workload.Machine.ClockGHz)
 		ideal := theory.Makespan(p.PetaCycles, b.sys.Workload.Machine.CPUs, b.sys.Workload.Machine.ClockGHz, b.utilNat)
-		copies := int(ideal*3/float64(horizon)) + 2
+		copies := core.TimelineCopies(horizon, 0, ideal)
 		c := &t2cell{
 			name:  name,
 			proj:  p,
@@ -115,7 +115,7 @@ func Table2(l *Lab) (*Table2Result, error) {
 	})
 
 	// Flatten to (cell, rep) tasks: replications are independent packs
-	// into clones of the same timeline.
+	// into the cell's one timeline, which they share (packing only reads).
 	reps := o.Reps
 	l.fanout(len(cells)*reps, func(t int) {
 		c, k := cells[t/reps], t%reps
@@ -125,7 +125,7 @@ func Table2(l *Lab) (*Table2Result, error) {
 				fmt.Sprintf("table2/c%02d-%s-%dcpu/rep%02d", t/reps, c.name, c.proj.CPUsPerJob, k),
 				c.name, 0)
 		}
-		pr, err := core.PackProjectTraced(c.free.Clone(), c.spec, c.starts[k], c.proj.KJobs, tr)
+		pr, err := core.PackProjectTraced(c.free, c.spec, c.starts[k], c.proj.KJobs, tr)
 		if err != nil {
 			c.errs[k] = err
 			return

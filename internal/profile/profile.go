@@ -5,6 +5,8 @@
 //   - when is the earliest instant a w-CPU, d-second job fits? (EarliestFit)
 //   - how many CPUs are free over an interval? (MinFree)
 //   - commit a planned allocation (Reserve)
+//   - where do n identical jobs go if each starts as early as it fits?
+//     (Pack, which only reads the timeline)
 //
 // The profile is a piecewise-constant function of time. It is built either
 // from the estimated ends of the currently running jobs (the scheduler's
@@ -14,6 +16,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"interstitial/internal/job"
@@ -190,15 +193,6 @@ func (p *Profile) rebuildPacked(now sim.Time, totalCPUs int, running []*job.Job)
 	return true
 }
 
-// Clone returns an independent copy (the rebuild scratch is not carried
-// over; the clone grows its own on first reuse).
-func (p *Profile) Clone() *Profile {
-	q := &Profile{times: make([]sim.Time, len(p.times)), free: make([]int, len(p.free)), unsorted: p.unsorted}
-	copy(q.times, p.times)
-	copy(q.free, p.free)
-	return q
-}
-
 // Origin reports the profile's start time.
 func (p *Profile) Origin() sim.Time { return p.times[0] }
 
@@ -283,6 +277,105 @@ func (p *Profile) EarliestFit(after sim.Time, cpus int, duration sim.Time) (sim.
 	}
 	// Only reachable if the final segment has free < cpus.
 	return 0, false
+}
+
+// pending is a batch Pack has placed that has not ended: it holds cpus
+// processors until end.
+type pending struct {
+	end  sim.Time
+	cpus int
+}
+
+// never is the end of the final, unbounded segment.
+const never = sim.Time(math.MaxInt64)
+
+// Pack greedily places count identical jobs of cpus processors and
+// duration seconds into the timeline, in batches. Each batch starts at the
+// earliest instant, no earlier than after and the previous batch's start,
+// at which a job fits for its whole duration in what the earlier batches
+// left free, and takes as many jobs as the tightest segment of its window
+// has room for (at most those still to place). place is called once per
+// batch, in order. Pack reports false, after placing what did fit, when a
+// job does not fit even in the final segment. cpus must be at least 1.
+//
+// Pack only reads the timeline, so callers may share one Profile between
+// concurrent packs. It places exactly the batches of the loop EarliestFit →
+// MinFree → Reserve on a copy: all batches run for the same duration and
+// start no earlier than the one before, so they end in the order they
+// start, and from the latest start on the free capacity is the timeline
+// minus a FIFO of the batches not yet ended. Both answers of that loop
+// depend only on the values of the step function, not on the breakpoints
+// Reserve adds, so walking the FIFO alongside the segments gives the same
+// ones.
+func (p *Profile) Pack(after sim.Time, cpus int, duration sim.Time, count int, place func(start sim.Time, jobs int)) bool {
+	if cpus < 1 {
+		panic(fmt.Sprintf("profile: packing %d-CPU jobs", cpus))
+	}
+	start := max(after, p.times[0])
+	var live []pending // placed batches, oldest first; live[h:] end after start
+	h, held := 0, 0    // held: CPUs the batches in live[h:] hold
+	for count > 0 {
+		for h < len(live) && live[h].end <= start {
+			held -= live[h].cpus
+			h++
+		}
+		// Reuse the storage of ended batches once they fill half of it,
+		// copying no more than was dropped.
+		if h > len(live)/2 {
+			live, h = live[:copy(live, live[h:])], 0
+		}
+		at, room, ok := p.fitLive(start, cpus, duration, live[h:], held)
+		if !ok {
+			return false
+		}
+		jobs := min(room/cpus, count)
+		place(at, jobs)
+		live = append(live, pending{end: at + duration, cpus: jobs * cpus})
+		held += jobs * cpus
+		count -= jobs
+		start = at
+	}
+	return true
+}
+
+// fitLive is EarliestFit and MinFree in one forward walk over the timeline
+// less the live batches, which all started at or before from and hold held
+// CPUs between them: it reports the earliest instant >= from at which cpus
+// processors are free for duration seconds, and the fewest free over that
+// window. Same-instant breakpoints and batch ends are applied together, so
+// no zero-length segment is ever judged.
+func (p *Profile) fitLive(from sim.Time, cpus int, duration sim.Time, live []pending, held int) (sim.Time, int, bool) {
+	i := p.segIndex(from)
+	at, room := from, math.MaxInt
+	for {
+		free := p.free[i] - held
+		next := never
+		if i+1 < len(p.times) {
+			next = p.times[i+1]
+		}
+		if len(live) > 0 && live[0].end < next {
+			next = live[0].end
+		}
+		// free holds on [current instant, next).
+		if free < cpus {
+			if next == never {
+				return 0, 0, false
+			}
+			at, room = next, math.MaxInt
+		} else {
+			room = min(room, free)
+			if next >= at+duration {
+				return at, room, true
+			}
+		}
+		if i+1 < len(p.times) && p.times[i+1] == next {
+			i++
+		}
+		for len(live) > 0 && live[0].end == next {
+			held -= live[0].cpus
+			live = live[1:]
+		}
+	}
 }
 
 // rangeStart returns the first segment index with times[i] >= from, on a

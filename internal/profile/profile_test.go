@@ -144,18 +144,6 @@ func TestZeroDurationReserveIsNoop(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	p := NewConstant(0, 10)
-	q := p.Clone()
-	q.Reserve(0, 5, 100)
-	if p.FreeAt(50) != 10 {
-		t.Fatal("clone not independent")
-	}
-	if q.FreeAt(50) != 5 {
-		t.Fatal("clone missing reservation")
-	}
-}
-
 // Property: a random sequence of feasible reservations keeps invariants,
 // and EarliestFit results are actually feasible (MinFree over the window is
 // >= the requested CPUs).

@@ -271,8 +271,7 @@ func PlanOmniscient(m Machine, ranLog []*Job, p ProjectSpec, startAt Time) (Time
 	}
 	horizon := m.Workload.Duration()
 	spec := p.JobSpecFor(m.Workload.Machine.ClockGHz)
-	ideal := theory.Makespan(p.PetaCycles, m.Workload.Machine.CPUs, m.Workload.Machine.ClockGHz, m.Workload.TargetUtil)
-	copies := int((float64(startAt)+ideal*3)/float64(horizon)) + 2
+	copies := core.TimelineCopies(horizon, startAt, TheoreticalMakespan(m, p.PetaCycles))
 	free, err := core.FreeTimeline(ranLog, m.Workload.Machine.CPUs, horizon, copies)
 	if err != nil {
 		return 0, err
