@@ -46,11 +46,12 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) ./... | tee BENCH_$$n.txt
 
 # Scheduling hot-path microbenchmarks only — kernel event loop, profile
-# planning queries, and a full dispatcher pass at paper-scale queue depth.
+# planning queries, the release-timeline upkeep and plan rebuild, and a
+# full dispatcher pass at paper-scale queue depth.
 # Runs in seconds, for quick iteration on scheduler changes; `make bench`
 # records the whole suite to a BENCH_<n>.txt artifact.
 bench-sched:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel|BenchmarkSchedulePass|BenchmarkProfileEarliestFit|BenchmarkRebuildFromRunning)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel|BenchmarkSchedulePass|BenchmarkProfileEarliestFit|BenchmarkReleaseChurn)' \
 		-benchmem -count $(BENCHCOUNT) ./internal/profile/ ./internal/sched/ .
 
 # Federation routing microbenchmarks — one routing decision and one
@@ -85,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRoutePolicy -fuzztime 30s ./internal/federation/
 	$(GO) test -fuzz FuzzScheduleConfig -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzAdvisorRequest -fuzztime 30s ./internal/advisor/
+	$(GO) test -fuzz FuzzMachineReleases -fuzztime 30s ./internal/machine/
 
 # Regenerate the paper at full scale (~4 min) and the extension studies.
 paper:

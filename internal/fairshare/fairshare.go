@@ -63,10 +63,11 @@ type Tree struct {
 	users  map[string]float64
 	groups map[string]float64
 	total  float64
-	// epoch counts Charge calls. Because Priority is a ratio of stored
-	// values (the decay factor cancels), priorities change only when a
-	// Charge lands; the epoch lets schedulers skip re-sorting a queue whose
-	// priorities provably have not moved.
+	// epoch counts the Charge calls that moved stored values: nonzero
+	// charges and rebases. Because Priority is a ratio of stored values
+	// (the decay factor cancels), priorities change only then; the epoch
+	// lets schedulers skip re-sorting a queue whose priorities provably
+	// have not moved.
 	epoch uint64
 }
 
@@ -117,7 +118,8 @@ func (t *Tree) rebase(now sim.Time) {
 // now. Negative charges (corrections when a job finishes early) are
 // clamped so no account goes below zero.
 func (t *Tree) Charge(now sim.Time, j *job.Job, cpuSeconds float64) {
-	if now > t.ref && float64(now-t.ref) > 50*float64(t.halfLife) {
+	rebased := now > t.ref && float64(now-t.ref) > 50*float64(t.halfLife)
+	if rebased {
 		t.rebase(now)
 	}
 	f := t.factorAt(now)
@@ -125,12 +127,15 @@ func (t *Tree) Charge(now sim.Time, j *job.Job, cpuSeconds float64) {
 	t.users[j.User] = clampNonNeg(t.users[j.User] + delta)
 	t.groups[j.Group] = clampNonNeg(t.groups[j.Group] + delta)
 	t.total = clampNonNeg(t.total + delta)
-	t.epoch++
+	if delta != 0 || rebased {
+		t.epoch++
+	}
 }
 
-// Epoch reports the charge epoch: it advances exactly when a Charge may
-// have moved some priority. Between equal epochs, Priority(now, j) is
-// constant for every j regardless of now.
+// Epoch reports the charge epoch: it advances exactly on the charges that
+// may move some priority, nonzero ones and rebases, so a zero charge (a
+// finish whose runtime matched its estimate) leaves it standing. Between
+// equal epochs, Priority(now, j) is constant for every j regardless of now.
 func (t *Tree) Epoch() uint64 { return t.epoch }
 
 func clampNonNeg(x float64) float64 {

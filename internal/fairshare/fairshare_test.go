@@ -2,6 +2,7 @@ package fairshare
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,61 @@ func TestRebasePreservesValues(t *testing.T) {
 	}
 	if got := tr.GroupUsage(5100, "h"); math.Abs(got-7) > 1e-9 {
 		t.Fatalf("fresh charge after rebase = %v, want 7", got)
+	}
+}
+
+// TestEpochRule pins when the charge epoch advances. A zero charge — the
+// finish of a job whose runtime matched its estimate, as every
+// interstitial job's does — leaves the epoch, every priority and the
+// stored values standing; a never-seen account still gains its 0 entry.
+// A nonzero charge advances the epoch, and so does a zero charge that
+// rebases, because rescaling the stored values may round the ratios.
+func TestEpochRule(t *testing.T) {
+	tr := New(UserAndGroup, sim.Time(100))
+	tr.Charge(0, mkJob("a", "g"), 300)
+	tr.Charge(10, mkJob("b", "h"), 100)
+	queued := []*job.Job{mkJob("a", "g"), mkJob("b", "h"), mkJob("c", "g"), mkJob("interstitial", "interstitial")}
+	priorities := func() []float64 {
+		var out []float64
+		for _, j := range queued {
+			out = append(out, tr.Priority(0, j))
+		}
+		return out
+	}
+	epoch, prios, st := tr.Epoch(), priorities(), tr.State()
+
+	fill := job.NewInterstitial(7, 4, 600, 0)
+	tr.Charge(20, fill, float64(fill.CPUs)*(float64(fill.Runtime)-float64(fill.Estimate)))
+	tr.Charge(30, mkJob("a", "g"), 0)
+	if tr.Epoch() != epoch {
+		t.Fatalf("zero charges moved the epoch %d -> %d", epoch, tr.Epoch())
+	}
+	if got := priorities(); !reflect.DeepEqual(got, prios) {
+		t.Fatalf("zero charges moved priorities %v -> %v", prios, got)
+	}
+	after := tr.State()
+	if v, ok := after.Users["interstitial"]; !ok || v != 0 {
+		t.Fatalf("never-seen user entry = %v, %v; want 0, true", v, ok)
+	}
+	if v, ok := after.Groups["interstitial"]; !ok || v != 0 {
+		t.Fatalf("never-seen group entry = %v, %v; want 0, true", v, ok)
+	}
+	delete(after.Users, "interstitial")
+	delete(after.Groups, "interstitial")
+	if !reflect.DeepEqual(after, st) {
+		t.Fatalf("zero charges moved the state %+v -> %+v", st, after)
+	}
+
+	tr.Charge(40, mkJob("b", "h"), 5)
+	if tr.Epoch() != epoch+1 {
+		t.Fatalf("nonzero charge: epoch %d, want %d", tr.Epoch(), epoch+1)
+	}
+	tr.Charge(40+51*100, mkJob("a", "g"), 0)
+	if tr.Epoch() != epoch+2 {
+		t.Fatalf("rebasing zero charge: epoch %d, want %d", tr.Epoch(), epoch+2)
+	}
+	if tr.State().Ref != 40+51*100 {
+		t.Fatalf("charge 51 half-lives on did not rebase: ref %d", tr.State().Ref)
 	}
 }
 

@@ -10,6 +10,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"interstitial/internal/job"
 	"interstitial/internal/sim"
@@ -54,7 +55,8 @@ type Machine struct {
 	cfg  Config
 	free int
 
-	running []*job.Job // in start order, swap-removed
+	running  []*job.Job // in start order, swap-removed
+	releases []Release  // the running jobs' estimated ends, summed per instant
 
 	// busy integrals in CPU-seconds, updated lazily at each state change.
 	lastUpdate      sim.Time
@@ -65,6 +67,15 @@ type Machine struct {
 	startedJobs     int
 	finishedJobs    int
 	peakBusy        int
+}
+
+// Release is one instant of the machine's release timeline, which the
+// scheduler plans with: the CPUs the running jobs estimated to end at At
+// give back then. The timeline is ascending by At, and a running job's
+// estimated end is fixed once it starts.
+type Release struct {
+	At   sim.Time
+	CPUs int
 }
 
 // New returns an idle machine.
@@ -112,18 +123,16 @@ func (m *Machine) RunningJobs() []*job.Job {
 
 // RunningBorrow exposes the internal running slice without copying —
 // read-only, and valid only until the next Start/Finish/Release. The
-// scheduler's per-pass profile construction uses it to stay
-// allocation-free; everyone else (in particular concurrent experiment
-// code holding results across machine state changes) must use RunningJobs,
-// which copies. The "Borrow" name marks the aliasing at every call site.
+// engine checkpoint uses it to stay allocation-free; everyone else (in
+// particular concurrent experiment code holding results across machine
+// state changes) must use RunningJobs, which copies. The "Borrow" name
+// marks the aliasing at every call site.
 func (m *Machine) RunningBorrow() []*job.Job { return m.running }
 
-// RunningSnapshot returns a copy of the running set. Unlike RunningBorrow
-// the result is safe to hold across subsequent machine state changes.
-//
-// Deprecated: identical to RunningJobs, kept for callers of the old
-// borrow-returning API so they now get safe semantics by default.
-func (m *Machine) RunningSnapshot() []*job.Job { return m.RunningJobs() }
+// ReleasesBorrow exposes the release timeline without copying. Like
+// RunningBorrow it is read-only and valid only until the next
+// Start/Finish/Release.
+func (m *Machine) ReleasesBorrow() []Release { return m.releases }
 
 // removeRunning swap-removes the job at index i.
 func (m *Machine) removeRunning(i int) {
@@ -144,6 +153,31 @@ func (m *Machine) runningIndex(op string, j *job.Job) int {
 		panic(fmt.Sprintf("machine: %s job %d that is not running", op, j.ID))
 	}
 	return i
+}
+
+// releaseIndex returns the index of the first release at or after at.
+func (m *Machine) releaseIndex(at sim.Time) int {
+	lo, hi := 0, len(m.releases)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.releases[mid].At < at {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// addRelease enters a started job's CPUs at its estimated end.
+func (m *Machine) addRelease(j *job.Job) {
+	at := j.EstimatedEnd()
+	i := m.releaseIndex(at)
+	if i < len(m.releases) && m.releases[i].At == at {
+		m.releases[i].CPUs += j.CPUs
+		return
+	}
+	m.releases = slices.Insert(m.releases, i, Release{At: at, CPUs: j.CPUs})
 }
 
 // advance accrues busy CPU-seconds up to now.
@@ -184,12 +218,25 @@ func (m *Machine) Start(now sim.Time, j *job.Job) {
 	j.State = job.Running
 	j.SetMachineSlot(len(m.running))
 	m.running = append(m.running, j)
+	m.addRelease(j)
 	m.startedJobs++
 }
 
-// Finish releases j's CPUs at time now and marks it finished.
-func (m *Machine) Finish(now sim.Time, j *job.Job) {
-	i := m.runningIndex("finishing", j)
+// leave frees running job j's CPUs at time now and takes it out of the
+// running set and of its instant of the release timeline, which goes once
+// empty. A missing release means j's estimate or runtime changed while it
+// ran: a caller's bug, like leaving a job that is not running.
+func (m *Machine) leave(op string, now sim.Time, j *job.Job) {
+	i := m.runningIndex(op, j)
+	at := j.EstimatedEnd()
+	r := m.releaseIndex(at)
+	if r == len(m.releases) || m.releases[r].At != at || m.releases[r].CPUs < j.CPUs {
+		panic(fmt.Sprintf("machine: %s job %d whose release of %d CPUs at %d is missing (estimate or runtime changed while it ran)", op, j.ID, j.CPUs, at))
+	}
+	m.releases[r].CPUs -= j.CPUs
+	if m.releases[r].CPUs == 0 {
+		m.releases = slices.Delete(m.releases, r, r+1)
+	}
 	m.advance(now)
 	m.free += j.CPUs
 	if j.Class == job.Interstitial {
@@ -198,6 +245,11 @@ func (m *Machine) Finish(now sim.Time, j *job.Job) {
 		m.busyNativeCPUs -= j.CPUs
 	}
 	m.removeRunning(i)
+}
+
+// Finish releases j's CPUs at time now and marks it finished.
+func (m *Machine) Finish(now sim.Time, j *job.Job) {
+	m.leave("finishing", now, j)
 	j.Finish = now
 	j.State = job.Finished
 	m.finishedJobs++
@@ -208,15 +260,7 @@ func (m *Machine) Finish(now sim.Time, j *job.Job) {
 // marked Killed with no Finish time; the busy integral keeps the work it
 // did up to now.
 func (m *Machine) Release(now sim.Time, j *job.Job) {
-	i := m.runningIndex("releasing", j)
-	m.advance(now)
-	m.free += j.CPUs
-	if j.Class == job.Interstitial {
-		m.busyInterstCPUs -= j.CPUs
-	} else {
-		m.busyNativeCPUs -= j.CPUs
-	}
-	m.removeRunning(i)
+	m.leave("releasing", now, j)
 	j.State = job.Killed
 }
 
@@ -276,6 +320,7 @@ func (m *Machine) RestoreState(st State, running []*job.Job) error {
 	m.free = m.cfg.CPUs
 	m.busyNativeCPUs, m.busyInterstCPUs = 0, 0
 	m.running = m.running[:0]
+	m.releases = m.releases[:0]
 	for _, j := range running {
 		if j.State != job.Running {
 			return fmt.Errorf("machine %s: restoring job %d with state %v", m.cfg.Name, j.ID, j.State)
@@ -291,6 +336,7 @@ func (m *Machine) RestoreState(st State, running []*job.Job) error {
 		}
 		j.SetMachineSlot(len(m.running))
 		m.running = append(m.running, j)
+		m.addRelease(j)
 	}
 	m.lastUpdate = st.LastUpdate
 	m.nativeCPUSec = st.NativeCPUSec
@@ -301,14 +347,17 @@ func (m *Machine) RestoreState(st State, running []*job.Job) error {
 	return m.CheckInvariants()
 }
 
-// CheckInvariants verifies the allocation ledger is self-consistent.
+// CheckInvariants verifies the allocation ledger, the release timeline
+// included, is self-consistent.
 func (m *Machine) CheckInvariants() error {
 	sum := 0
+	ends := make(map[sim.Time]int, len(m.running))
 	for _, j := range m.running {
 		if j.State != job.Running {
 			return fmt.Errorf("machine %s: job %d in running set with state %v", m.cfg.Name, j.ID, j.State)
 		}
 		sum += j.CPUs
+		ends[j.EstimatedEnd()] += j.CPUs
 	}
 	if sum != m.Busy() {
 		return fmt.Errorf("machine %s: running jobs hold %d CPUs but busy=%d", m.cfg.Name, sum, m.Busy())
@@ -318,6 +367,24 @@ func (m *Machine) CheckInvariants() error {
 	}
 	if m.busyNativeCPUs+m.busyInterstCPUs != m.Busy() {
 		return fmt.Errorf("machine %s: class split %d+%d != busy %d", m.cfg.Name, m.busyNativeCPUs, m.busyInterstCPUs, m.Busy())
+	}
+	released := 0
+	for i, r := range m.releases {
+		switch {
+		case i > 0 && r.At <= m.releases[i-1].At:
+			return fmt.Errorf("machine %s: release instants not increasing at %d (%d <= %d)", m.cfg.Name, i, r.At, m.releases[i-1].At)
+		case r.CPUs <= 0:
+			return fmt.Errorf("machine %s: release at %d holds %d CPUs", m.cfg.Name, r.At, r.CPUs)
+		case r.CPUs != ends[r.At]:
+			return fmt.Errorf("machine %s: release at %d holds %d CPUs but running jobs end there holding %d", m.cfg.Name, r.At, r.CPUs, ends[r.At])
+		}
+		released += r.CPUs
+	}
+	if released != m.Busy() {
+		return fmt.Errorf("machine %s: releases return %d CPUs but busy=%d", m.cfg.Name, released, m.Busy())
+	}
+	if len(m.releases) != len(ends) {
+		return fmt.Errorf("machine %s: %d release instants but running jobs end at %d", m.cfg.Name, len(m.releases), len(ends))
 	}
 	return nil
 }

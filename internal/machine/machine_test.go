@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -224,4 +225,29 @@ func TestReleaseUnknownPanics(t *testing.T) {
 		}
 	}()
 	m.Release(5, job.New(1, "u", "g", 1, 10, 10, 0))
+}
+
+// TestLeavingWithMovedEstimatePanics: a job's release is entered at its
+// estimated end when it starts, so finishing or killing it after its
+// estimate moved finds no release there and panics, naming the job.
+func TestLeavingWithMovedEstimatePanics(t *testing.T) {
+	for _, op := range []string{"finishing", "releasing"} {
+		m := New(Config{Name: "t", CPUs: 10, ClockGHz: 1})
+		j := job.New(7, "u", "g", 4, 100, 200, 0)
+		m.Start(0, j)
+		j.Estimate = 300
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, op+" job 7 whose release of 4 CPUs at 300 is missing") {
+					t.Fatalf("%s: panic %q", op, msg)
+				}
+			}()
+			if op == "finishing" {
+				m.Finish(50, j)
+			} else {
+				m.Release(50, j)
+			}
+		}()
+	}
 }

@@ -1,25 +1,22 @@
 package profile
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"interstitial/internal/job"
+	"interstitial/internal/machine"
 	"interstitial/internal/sim"
 )
 
-func mkRunning(id, cpus int, runtime, estimate, start sim.Time) *job.Job {
-	j := job.New(id, "u", "g", cpus, runtime, estimate, 0)
-	j.Start = start
-	j.State = job.Running
-	return j
-}
-
-// TestRebuildFromRunningMatchesFromRunning drives one arena through many
-// rebuild cycles against fresh FromRunning profiles: the reused storage
-// must reproduce the from-scratch timeline exactly, including after
-// Reserve chains have grown the arena's segment arrays.
-func TestRebuildFromRunningMatchesFromRunning(t *testing.T) {
+// TestRebuildFromReleasesMatchesFromRunning drives one arena through many
+// rebuild cycles, each from a fresh machine's release timeline, against
+// FromRunning's sort of the same running set: the reused storage must
+// reproduce the from-scratch timeline exactly, including after Reserve
+// chains have grown the arena's segment arrays.
+func TestRebuildFromReleasesMatchesFromRunning(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	arena := &Profile{}
 	for round := 0; round < 200; round++ {
@@ -40,10 +37,18 @@ func TestRebuildFromRunningMatchesFromRunning(t *testing.T) {
 			if ago > now {
 				ago = now
 			}
-			running = append(running, mkRunning(id, cpus, rt, est, now-ago))
+			j := job.New(id, "u", "g", cpus, rt, est, 0)
+			j.Start = now - ago
+			running = append(running, j)
 		}
-		arena.RebuildFromRunning(now, 1024, running)
-		want := FromRunning(now, 1024, running)
+		// The machine's clock only moves forward: start in start order.
+		slices.SortStableFunc(running, func(a, b *job.Job) int { return cmp.Compare(a.Start, b.Start) })
+		m := machine.New(machine.Config{Name: "arena", CPUs: 1024, ClockGHz: 1})
+		for _, j := range running {
+			m.Start(j.Start, j)
+		}
+		arena.RebuildFromReleases(now, m.Free(), m.ReleasesBorrow())
+		want := FromRunning(now, 1024, m.RunningJobs())
 		if arena.String() != want.String() {
 			t.Fatalf("round %d: rebuild %v != fresh %v", round, arena, want)
 		}
@@ -160,19 +165,31 @@ func BenchmarkProfileEarliestFit(b *testing.B) {
 	}
 }
 
-// BenchmarkRebuildFromRunning measures the per-pass profile rebuild at
-// paper-scale running-set sizes; steady state must not allocate.
-func BenchmarkRebuildFromRunning(b *testing.B) {
+// BenchmarkReleaseChurn measures the release timeline's upkeep and the
+// plan rebuild it feeds at a paper-scale running set of 256 jobs: each
+// iteration finishes the oldest job, starts the next, and rebuilds a plan
+// from the machine's list. Steady state must not allocate.
+func BenchmarkReleaseChurn(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
-	running := make([]*job.Job, 0, 256)
-	for id := 1; id <= 256; id++ {
-		rt := sim.Time(rng.Intn(20000) + 1)
-		running = append(running, mkRunning(id, rng.Intn(16)+1, rt, rt*2, sim.Time(rng.Intn(int(rt)))))
+	m := machine.New(machine.Config{Name: "churn", CPUs: 4662, ClockGHz: 1})
+	running := make([]*job.Job, 256)
+	for i := range running {
+		rt := sim.Time(rng.Intn(20000) + 1000)
+		running[i] = job.New(i+1, "u", "g", rng.Intn(16)+1, rt, rt*2, 0)
+		m.Start(0, running[i])
 	}
 	p := &Profile{}
+	p.RebuildFromReleases(0, m.Free(), m.ReleasesBorrow())
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.RebuildFromRunning(20000, 4662, running)
+		now := sim.Time(i + 1)
+		j := running[i%len(running)]
+		m.Finish(now, j)
+		// Reuse the finished job as the next arrival; its estimated end
+		// lands among the others, at least 1000 s after now.
+		j.State = job.Queued
+		m.Start(now, j)
+		p.RebuildFromReleases(now, m.Free(), m.ReleasesBorrow())
 	}
 }

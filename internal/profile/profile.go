@@ -15,18 +15,20 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 
 	"interstitial/internal/job"
+	"interstitial/internal/machine"
 	"interstitial/internal/sim"
 )
 
 // Profile is a stepwise function mapping time to free CPUs. The last
 // segment extends to infinity.
 //
-// A Profile is reusable: Reset and RebuildFromRunning overwrite the
+// A Profile is reusable: Reset and RebuildFromReleases overwrite the
 // timeline in place, keeping the backing arrays, so a scheduler that
 // rebuilds its planning profile on every pass (the dispatcher's scratch
 // profile, the interstitial controller's packing plan) allocates nothing
@@ -36,14 +38,6 @@ type Profile struct {
 	times []sim.Time
 	// free[i] is the free CPU count on [times[i], times[i+1]).
 	free []int
-	// rel is RebuildFromRunning's scratch release list, retained between
-	// rebuilds so the per-pass sort works entirely in reused memory.
-	rel []release
-	// relKeys is the packed-key scratch for the same sort's fast path:
-	// each release squeezed into one uint64 so the hottest loop in a full
-	// simulation is a branch-light slices.Sort over machine words instead
-	// of a comparison-callback sort over structs.
-	relKeys []uint64
 	// unsorted marks a timeline whose breakpoints are not strictly
 	// increasing, on which Reserve/Release keep the historical whole-array
 	// scan (covered segments need not be contiguous there). In practice it
@@ -52,12 +46,6 @@ type Profile struct {
 	// input — but the O(1) check keeps the binary-searched fast path
 	// honest if either guarantee is ever loosened.
 	unsorted bool
-}
-
-// release is one running job giving its CPUs back at its estimated end.
-type release struct {
-	at   sim.Time
-	cpus int
 }
 
 // FromSteps builds a profile directly from parallel breakpoint/capacity
@@ -86,10 +74,17 @@ func NewConstant(from sim.Time, capacity int) *Profile {
 // it starts at the machine's current free count and gains back each running
 // job's CPUs at that job's estimated end. This is exactly the (fallible)
 // information a real scheduler has, because users' estimates stand in for
-// true runtimes.
+// true runtimes. It sorts the running set's ends afresh: the reference a
+// rebuild from a machine's release timeline must match.
 func FromRunning(now sim.Time, totalCPUs int, running []*job.Job) *Profile {
+	rel := make([]machine.Release, 0, len(running))
+	for _, j := range running {
+		totalCPUs -= j.CPUs
+		rel = append(rel, machine.Release{At: j.EstimatedEnd(), CPUs: j.CPUs})
+	}
+	slices.SortFunc(rel, func(a, b machine.Release) int { return cmp.Compare(a.At, b.At) })
 	p := &Profile{}
-	p.RebuildFromRunning(now, totalCPUs, running)
+	p.RebuildFromReleases(now, totalCPUs, rel)
 	return p
 }
 
@@ -104,93 +99,26 @@ func (p *Profile) Reset(from sim.Time, capacity int) {
 	p.unsorted = false
 }
 
-// RebuildFromRunning is FromRunning into existing storage: it overwrites p
-// with the free-CPU timeline at time now, reusing the segment arrays and
-// the internal release scratch so a steady-state rebuild allocates nothing.
-// The result is identical to FromRunning's (release ties merge into one
-// segment, so their sort order does not matter).
-func (p *Profile) RebuildFromRunning(now sim.Time, totalCPUs int, running []*job.Job) {
-	if p.rebuildPacked(now, totalCPUs, running) {
-		return
-	}
-	rel := p.rel[:0]
-	used := 0
-	for _, j := range running {
-		used += j.CPUs
-		rel = append(rel, release{at: j.EstimatedEnd(), cpus: j.CPUs})
-	}
-	slices.SortFunc(rel, func(a, b release) int {
-		switch {
-		case a.at < b.at:
-			return -1
-		case a.at > b.at:
-			return 1
-		}
-		return 0
-	})
-	p.rel = rel
+// RebuildFromReleases overwrites p, reusing its storage, with the free-CPU
+// timeline at time now: free CPUs from now on, gaining back each release's
+// CPUs at its instant. rel must be ascending by At, as machine.Machine
+// keeps its release timeline, so the rebuild is one merge walk with no
+// sort; releases at one instant, or at now, merge into one segment.
+func (p *Profile) RebuildFromReleases(now sim.Time, free int, rel []machine.Release) {
 	p.times = append(p.times[:0], now)
-	p.free = append(p.free[:0], totalCPUs-used)
-	cur := totalCPUs - used
+	p.free = append(p.free[:0], free)
 	for _, r := range rel {
-		cur += r.cpus
-		n := len(p.times)
-		if p.times[n-1] == r.at {
-			p.free[n-1] = cur
+		free += r.CPUs
+		if n := len(p.times); p.times[n-1] == r.At {
+			p.free[n-1] = free
 		} else {
-			p.times = append(p.times, r.at)
-			p.free = append(p.free, cur)
+			p.times = append(p.times, r.At)
+			p.free = append(p.free, free)
 		}
 	}
 	// Releases are ascending, so the only possible inversion is a release
 	// breakpoint before the origin.
 	p.unsorted = len(p.times) > 1 && p.times[1] < p.times[0]
-}
-
-// Packed-key sort bounds: a release fits one uint64 as at<<13 | cpus when
-// its width is below 8192 CPUs (the paper's largest machine has 4662) and
-// its instant below 2^50 seconds (~35 million simulated years). Equal-at
-// releases merge into a single segment whichever of them sorts first, so
-// packing cpus into the low bits cannot change the rebuilt profile.
-const (
-	relCPUBits = 13
-	relMaxAt   = sim.Time(1) << 50
-)
-
-// rebuildPacked is RebuildFromRunning's fast path: it sorts uint64-packed
-// releases with slices.Sort, dodging the struct sort's comparison calls.
-// It reports false — leaving p untouched — when any release falls outside
-// the packable range, and the caller redoes the work on the general path.
-func (p *Profile) rebuildPacked(now sim.Time, totalCPUs int, running []*job.Job) bool {
-	keys := p.relKeys[:0]
-	used := 0
-	for _, j := range running {
-		at := j.EstimatedEnd()
-		if at < 0 || at >= relMaxAt || j.CPUs < 0 || j.CPUs >= 1<<relCPUBits {
-			p.relKeys = keys
-			return false
-		}
-		used += j.CPUs
-		keys = append(keys, uint64(at)<<relCPUBits|uint64(j.CPUs))
-	}
-	slices.Sort(keys)
-	p.relKeys = keys
-	p.times = append(p.times[:0], now)
-	p.free = append(p.free[:0], totalCPUs-used)
-	cur := totalCPUs - used
-	for _, k := range keys {
-		at := sim.Time(k >> relCPUBits)
-		cur += int(k & (1<<relCPUBits - 1))
-		n := len(p.times)
-		if p.times[n-1] == at {
-			p.free[n-1] = cur
-		} else {
-			p.times = append(p.times, at)
-			p.free = append(p.free, cur)
-		}
-	}
-	p.unsorted = len(p.times) > 1 && p.times[1] < p.times[0]
-	return true
 }
 
 // Origin reports the profile's start time.

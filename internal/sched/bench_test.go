@@ -86,7 +86,11 @@ func (forceDynamic) Ordering() Ordering { return OrderingDynamic }
 // the policy's declared ordering (static for PBS, epoch for LSF/DPCS), one
 // forced to re-sort every pass — through an identical randomized stream of
 // submissions, passes, and finishes, and requires identical dispatch
-// decisions and queue orders throughout.
+// decisions and queue orders throughout. Interstitial-style jobs fill
+// CPUs between passes, started directly on the machine as the controller
+// does; their finishes charge exactly 0 (Estimate == Runtime), so under
+// the epoch class the passes after them must take the merge path and
+// still match the twin.
 func TestIncrementalOrderingMatchesDynamic(t *testing.T) {
 	mk := []struct {
 		name string
@@ -109,9 +113,10 @@ func TestIncrementalOrderingMatchesDynamic(t *testing.T) {
 			now := sim.Time(0)
 			// finishDue retires every running job whose runtime has elapsed,
 			// in deterministic (end, ID) order — the engine invariant that
-			// running jobs never overstay start+runtime, which FromRunning's
-			// timeline construction relies on.
-			finishDue := func(d *Dispatcher, m *machine.Machine, now sim.Time) {
+			// running jobs never overstay start+runtime, which keeps every
+			// release in the plan's timeline at or after now. It reports how
+			// many of the retired jobs were interstitial.
+			finishDue := func(d *Dispatcher, m *machine.Machine, now sim.Time) (fills int) {
 				for {
 					var pick *job.Job
 					for _, j := range m.RunningBorrow() {
@@ -124,15 +129,19 @@ func TestIncrementalOrderingMatchesDynamic(t *testing.T) {
 						}
 					}
 					if pick == nil {
-						return
+						return fills
 					}
 					m.Finish(now, pick)
 					d.Policy().OnFinish(now, pick)
+					if pick.Class == job.Interstitial {
+						fills++
+					}
 				}
 			}
+			zeroMerges := 0 // merge-path passes right after a zero charge
 			for step := 0; step < 300; step++ {
 				now += sim.Time(rng.Intn(600))
-				finishDue(fast, fm, now)
+				fills := finishDue(fast, fm, now)
 				finishDue(slow, sm, now)
 				for k := 0; k < rng.Intn(4); k++ {
 					u, g := users[rng.Intn(len(users))], groups[rng.Intn(len(groups))]
@@ -142,6 +151,9 @@ func TestIncrementalOrderingMatchesDynamic(t *testing.T) {
 					fq.Push(job.New(id, u, g, cpus, rt, est, now))
 					sq.Push(job.New(id, u, g, cpus, rt, est, now))
 					id++
+				}
+				if fills > 0 && fast.orderValid && fast.policy.OrderEpoch() == fast.orderEpoch {
+					zeroMerges++
 				}
 				fres := fast.Schedule(now, fm, fq)
 				sres := slow.Schedule(now, sm, sq)
@@ -164,6 +176,18 @@ func TestIncrementalOrderingMatchesDynamic(t *testing.T) {
 						t.Fatalf("step %d: queue[%d] %d vs %d", step, i, fq.At(i).ID, sq.At(i).ID)
 					}
 				}
+				if fm.Free() != sm.Free() {
+					t.Fatalf("step %d: free %d vs %d", step, fm.Free(), sm.Free())
+				}
+				if cpus := rng.Intn(8) + 1; rng.Intn(2) == 0 && fm.CanStart(cpus) {
+					rt := sim.Time(rng.Intn(600) + 1)
+					fm.Start(now, job.NewInterstitial(id, cpus, rt, now))
+					sm.Start(now, job.NewInterstitial(id, cpus, rt, now))
+					id++
+				}
+			}
+			if fast.policy.Ordering() == OrderingEpoch && zeroMerges == 0 {
+				t.Fatal("no pass after an interstitial finish took the merge path")
 			}
 		})
 	}

@@ -147,9 +147,9 @@ func (d *Dispatcher) order(now sim.Time, q *Queue) {
 func (d *Dispatcher) Schedule(now sim.Time, m *machine.Machine, q *Queue) PassResult {
 	d.order(now, q)
 
-	// Borrowed slice: RebuildFromRunning only reads it, within this pass.
+	// The rebuild only reads the machine's borrowed release timeline.
 	p := &d.plan
-	p.RebuildFromRunning(now, m.Config().CPUs, m.RunningBorrow())
+	p.RebuildFromReleases(now, m.Free(), m.ReleasesBorrow())
 	res := PassResult{HeadReservation: sim.Infinity}
 
 	switch d.policy.Backfill() {
