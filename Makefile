@@ -99,21 +99,22 @@ examples:
 	@for e in quickstart paramsweep capacityplan omniscient preemption swfreplay; do \
 		echo "=== examples/$$e ==="; $(GO) run ./examples/$$e || exit 1; done
 
-# Smoke the decision-tracing pipeline end to end: trace a scaled-down
-# Table 2 regeneration with request spans and a provenance manifest,
-# validate the JSONL export (runs, events, AND spans) against the schema,
-# render the tracescope and span reports, and exercise the Perfetto
-# export. The trace_demo.* artifacts are gitignored.
+# Smoke the one-file trace pipeline end to end: trace a scaled-down
+# Table 2 regeneration — decision events and the span tree in one file —
+# with a provenance manifest, validate the file (runs, events, AND spans)
+# against the schema, render the tracescope report, then export the same
+# run, and a birminator run, to Perfetto. The trace_demo.* artifacts are
+# gitignored.
 trace-demo:
 	$(GO) run ./cmd/experiments -scale 0.05 -workers 4 -trace trace_demo.jsonl \
-		-spans trace_demo.spans.jsonl -manifest trace_demo.manifest.json table2
+		-manifest trace_demo.manifest.json table2
 	$(GO) run ./cmd/tracescope -check trace_demo.jsonl
 	$(GO) run ./cmd/tracescope trace_demo.jsonl
-	$(GO) run ./cmd/tracescope -check trace_demo.spans.jsonl
-	$(GO) run ./cmd/tracescope -spans trace_demo.spans.jsonl
 	grep -q '"digest"' trace_demo.manifest.json
+	$(GO) run ./cmd/experiments -scale 0.05 -workers 4 -trace trace_demo.chrome.json \
+		-trace-format chrome table2
 	$(GO) run ./cmd/birminator -machine Ross -scale 0.02 -interstitial-cpus 8 \
-		-trace trace_demo.chrome.json -trace-format chrome
+		-trace trace_demo.birminator.json -trace-format chrome
 
 # Coverage profiles (cover*.out, *.coverprofile) are build artifacts:
 # gitignored, cleaned here, and the CI "No committed build artifacts"

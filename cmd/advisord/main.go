@@ -29,7 +29,7 @@
 // record per line; -log-level takes per-component specs like
 // "default=info,http=debug"). 200 plan answers carry their provenance as
 // the X-Run-Manifest header. -spans writes the recorded span trees as
-// JSONL (readable by cmd/tracescope -spans) at drain, and -manifest
+// JSONL (a span-only trace cmd/tracescope reads) at drain, and -manifest
 // writes the service's provenance manifest — config, toolchain, final
 // metrics snapshot — at exit.
 //

@@ -201,7 +201,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tracing.Export(f, collector, format); err != nil {
+		if err := tracing.Export(f, collector, nil, format); err != nil {
 			f.Close()
 			log.Fatal(err)
 		}

@@ -4,9 +4,8 @@
 //
 //	experiments [-seed N] [-scale F] [-reps N] [-samples N] [-workers N]
 //	            [-fleet N] [-route policy] [-timeout D] [-csv dir]
-//	            [-metrics] [-metrics-json file] [-manifest file]
-//	            [-pprof addr] [-trace file [-trace-format f] [-trace-sample N]]
-//	            [-spans file [-spans-format f]]
+//	            [-metrics] [-manifest file] [-pprof addr]
+//	            [-trace file [-trace-format f] [-trace-sample N]]
 //	            [names...]
 //
 // Experiments run concurrently on a worker pool bounded by -workers
@@ -16,28 +15,26 @@
 // -metrics dumps the observability layer to stderr after the run: a
 // per-experiment wall-time/cell-count table and the full metric registry
 // (kernel event counts, backfill fills, singleflight hits, pool
-// occupancy) in Prometheus text format. -pprof serves net/http/pprof,
-// expvar (including the live metric registry), and the registry in
-// Prometheus text at /metrics on the given address for profiling or
-// scraping a long run, e.g. `-pprof localhost:6060`. Both are
-// observation-only: the rendered tables on stdout are byte-identical with
-// or without them.
+// occupancy) in Prometheus text format. -pprof serves net/http/pprof
+// and the registry in Prometheus text at /metrics on the given address
+// for profiling or scraping a long run, e.g. `-pprof localhost:6060`.
+// Both are observation-only: the rendered tables on stdout are
+// byte-identical with or without them.
 //
-// -trace records every scheduler decision of every simulation the run
-// performs and exports the collected trace on exit: -trace-format jsonl
-// (the schema cmd/tracescope validates), chrome (load in Perfetto or
-// chrome://tracing; one track per machine run), or audit (per-job
-// lifecycle CSV). -trace-sample N bounds memory on long runs by keeping
-// the first N/2 and last ~N/2 events per run. -metrics-json archives the
-// final metrics snapshot as stable JSON next to the trace. All of it is
-// observation-only: stdout stays byte-identical.
-//
-// -spans records the run's span tree — the run, each experiment, every
-// fan-out cell, the shared sweeps, and (for the federation study) each
-// fleet's epochs, shard advances, and route/steal decisions — and writes
-// it on exit: -spans-format jsonl (the cmd/tracescope -spans schema) or
-// chrome. Span IDs derive from the seed and all instants are logical or
-// simulated time, so the file is byte-identical at any -workers.
+// -trace records one trace of the run and writes it to one file on exit:
+// every scheduler decision of every simulation the run performs, and the
+// run's span tree — the run, each experiment, every fan-out cell, the
+// shared sweeps, and (for the federation study) each fleet's epochs and
+// shard advances. -trace-format picks the file's form: jsonl (the run
+// and event lines, then the span lines: the schema cmd/tracescope
+// validates and reports on), chrome (load in Perfetto or
+// chrome://tracing; one process per machine run, then one per span
+// trace), or audit (per-job lifecycle CSV of the decisions; spans have
+// no audit form). -trace-sample N bounds memory on long runs by keeping
+// the first N/2 and last ~N/2 events per run. Span IDs derive from the
+// seed and all instants are logical or simulated time, so the file is
+// byte-identical at any -workers. All of it is observation-only: stdout
+// stays byte-identical.
 //
 // -manifest writes the run's provenance record as JSON: seed, scale,
 // workers, config knobs, experiment list, the FNV-1a digest of the
@@ -107,19 +104,15 @@ func main() {
 	route := flag.String("route", "", "federation experiment: routing policy (default: every policy)")
 	csvDir := flag.String("csv", "", "also write each experiment's data points as <dir>/<name>.csv")
 	metrics := flag.Bool("metrics", false, "dump the metric registry and per-experiment timing to stderr after the run")
-	metricsJSON := flag.String("metrics-json", "", "also archive the final metrics snapshot as JSON to this file")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long, keeping completed tables (0 = no limit)")
-	tracePath := flag.String("trace", "", "record every scheduler decision and write the trace to this file")
+	tracePath := flag.String("trace", "", "record every scheduler decision and the span tree, and write the trace to this file")
 	traceFormat := flag.String("trace-format", "jsonl", "trace export format: jsonl, chrome (Perfetto-loadable), or audit (per-job CSV)")
 	traceSample := flag.Int("trace-sample", 0, "max events kept per traced run, head/tail sampled (0 = keep all)")
-	spansPath := flag.String("spans", "", "record the run's span tree and write it to this file")
-	spansFormat := flag.String("spans-format", "jsonl", "span export format: jsonl or chrome (Perfetto-loadable)")
 	manifestPath := flag.String("manifest", "", "write the run's provenance manifest (seed, config, output digest, metrics) as JSON to this file")
 	list := flag.Bool("list", false, "print the valid experiment names and exit")
 	flag.Parse()
 	format, formatErr := tracing.ParseFormat(*traceFormat)
-	sformat, sformatErr := tracing.ParseFormat(*spansFormat)
 	switch {
 	case *seed < 0:
 		usageError("-seed %d is negative", *seed)
@@ -143,12 +136,6 @@ func main() {
 		usageError("-trace-format without -trace")
 	case *traceSample > 0 && *tracePath == "":
 		usageError("-trace-sample without -trace")
-	case sformatErr != nil:
-		usageError("-spans-format: %v", sformatErr)
-	case sformat == tracing.FormatAudit:
-		usageError("-spans-format audit: spans have no audit form (want jsonl or chrome)")
-	case *spansFormat != "jsonl" && *spansPath == "":
-		usageError("-spans-format without -spans")
 	}
 	if *route != "" {
 		if _, err := federation.ParsePolicy(*route); err != nil {
@@ -179,30 +166,27 @@ func main() {
 	lab := experiments.NewLab(opts)
 	reg := experiments.NewRegistry(lab)
 	var collector *tracing.Collector
+	var spanRec *span.Recorder
 	if *tracePath != "" {
 		collector = tracing.NewCollector(*traceSample)
 		lab.SetTracing(collector)
-	}
-	var spanRec *span.Recorder
-	if *spansPath != "" {
-		spanRec = span.NewRecorder()
-		lab.SetSpans(spanRec)
+		if format != tracing.FormatAudit { // the audit table has no form for spans
+			spanRec = span.NewRecorder()
+			lab.SetSpans(spanRec)
+		}
 	}
 
 	if *pprofAddr != "" {
-		// The default mux already has pprof (import above) and expvar's
-		// /debug/vars; publishing the registry adds the live simulator
-		// metrics to the latter, and /metrics serves the same registry in
-		// Prometheus text format for scrapers.
-		lab.Metrics().PublishExpvar("interstitial")
+		// The default mux already has pprof (import above); /metrics
+		// serves the live registry in Prometheus text format for scrapers.
 		http.Handle("/metrics", lab.Metrics().Handler())
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: pprof server: %v\n", err)
 			}
 		}()
-		fmt.Fprintf(os.Stderr, "experiments: pprof+expvar+metrics on http://%s/debug/pprof http://%s/debug/vars http://%s/metrics\n",
-			*pprofAddr, *pprofAddr, *pprofAddr)
+		fmt.Fprintf(os.Stderr, "experiments: pprof+metrics on http://%s/debug/pprof http://%s/metrics\n",
+			*pprofAddr, *pprofAddr)
 	}
 
 	names := flag.Args()
@@ -278,31 +262,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: metrics dump: %v\n", err)
 		}
 	}
-	if *metricsJSON != "" {
-		if err := writeFileWith(*metricsJSON, lab.Metrics().Snapshot().WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: metrics json: %v\n", err)
-			os.Exit(1)
-		}
-	}
 	if *tracePath != "" {
 		if err := writeFileWith(*tracePath, func(w io.Writer) error {
-			return tracing.Export(w, collector, format)
+			return tracing.Export(w, collector, spanRec.Spans(), format)
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: trace: %v\n", err)
 			os.Exit(1)
 		}
 		emitted, dropped := collector.Totals()
-		fmt.Fprintf(os.Stderr, "experiments: trace: %d runs, %d events emitted (%d dropped) -> %s (%s)\n",
-			len(collector.Runs()), emitted, dropped, *tracePath, format)
-	}
-	if *spansPath != "" {
-		if err := writeFileWith(*spansPath, func(w io.Writer) error {
-			return tracing.ExportSpans(w, spanRec.Spans(), sformat)
-		}); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: spans: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: spans: %d spans -> %s (%s)\n", spanRec.Len(), *spansPath, sformat)
+		fmt.Fprintf(os.Stderr, "experiments: trace: %d runs, %d events emitted (%d dropped), %d spans -> %s (%s)\n",
+			len(collector.Runs()), emitted, dropped, spanRec.Len(), *tracePath, format)
 	}
 	if *manifestPath != "" {
 		o := lab.Options()

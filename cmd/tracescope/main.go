@@ -1,24 +1,24 @@
-// Command tracescope analyzes a scheduler decision trace (the JSONL
-// export of cmd/experiments -trace or cmd/birminator -trace): it
-// validates the file against the event schema, then summarizes it —
-// per-run and per-decision-kind event counts, the preemption victim age
-// distribution, and the largest idle holes the scheduler left between
-// decisions.
+// Command tracescope analyzes a JSONL trace — the export of
+// cmd/experiments -trace, cmd/birminator -trace, or advisord -spans: it
+// validates the file against the schema, then summarizes it. Decision
+// events get per-run and per-decision-kind counts, the preemption victim
+// age distribution, and the largest idle holes the scheduler left
+// between decisions. Spans get a per-name latency breakdown, the slowest
+// shard of each federation epoch, and shed/degrade outcome attribution.
+// A file holding both gets the decision sections, a blank line, then the
+// span sections.
 //
 // Usage:
 //
-//	tracescope [-check|-spans] trace.jsonl
+//	tracescope [-check] trace.jsonl
 //	tracescope            (reads stdin)
 //
 // -check stops after schema validation, printing nothing on success: the
 // CI smoke target uses it as the schema gate. Any malformed line — bad
 // JSON, unknown kind or reason, non-monotonic sequence numbers or
-// timestamps, busy counts outside the machine, dangling span parents —
-// exits 1 with the line's error.
-//
-// -spans reports on the request/run span lines instead of the decision
-// events: per-name latency breakdown, the slowest shard of each
-// federation epoch, and shed/degrade outcome attribution.
+// timestamps, busy counts outside the machine, event lines that do not
+// match their run header, dangling span parents — exits 1 with the
+// line's error.
 package main
 
 import (
@@ -34,8 +34,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tracescope: ")
-	check := flag.Bool("check", false, "validate the trace against the event schema and exit (silent on success)")
-	spans := flag.Bool("spans", false, "summarize span lines: per-name latency, slowest shard per epoch, outcome attribution")
+	check := flag.Bool("check", false, "validate the trace against the schema and exit (silent on success)")
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -55,17 +54,7 @@ func main() {
 	}
 
 	if *check {
-		if _, err := tracing.ReadJSONL(in); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *spans {
-		_, ss, err := tracing.ReadJSONLAll(in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tracing.SummarizeSpans(ss).WriteReport(os.Stdout); err != nil {
+		if _, _, err := tracing.ReadJSONLAll(in); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -270,7 +270,7 @@ func (l *Lab) owner() string {
 }
 
 // Metrics returns the lab's metrics registry for reporting (snapshot,
-// text dump, expvar publication).
+// text dump, /metrics).
 func (l *Lab) Metrics() *obs.Registry { return l.met.reg }
 
 // SetTracing installs a trace collector: every simulation the lab runs

@@ -10,11 +10,17 @@ import (
 )
 
 // spannedFederation runs the federation experiment through the registry
-// on a spanned lab and returns the span JSONL plus the rendered table.
+// and returns the rendered table plus, when rec is non-nil, the one-file
+// trace of the run: its decision events, then its spans.
 func spannedFederation(t *testing.T, workers int, rec *span.Recorder) ([]byte, string) {
 	t.Helper()
 	l := NewLab(Options{Seed: 1, Scale: 0.02, Reps: 2, Samples: 40, Workers: workers,
 		FleetSize: 2, Route: "work-stealing:batch=2,victim=max"})
+	var col *tracing.Collector
+	if rec != nil {
+		col = tracing.NewCollector(0)
+	}
+	l.SetTracing(col)
 	l.SetSpans(rec)
 	out, rep, err := NewRegistry(l).RunAll([]string{"federation"})
 	if err != nil || len(rep.Failed) > 0 {
@@ -25,18 +31,17 @@ func spannedFederation(t *testing.T, workers int, rec *span.Recorder) ([]byte, s
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if rec != nil {
-		if err := tracing.WriteSpansJSONL(&buf, rec.Spans()); err != nil {
-			t.Fatal(err)
-		}
+	if err := tracing.WriteJSONL(&buf, col, rec.Spans()); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes(), rendered.String()
 }
 
-// TestSpanDeterministicAcrossWorkers is the span acceptance gate, the
-// sibling of TestTraceDeterministicAcrossWorkers: the span JSONL for a
-// fixed seed is byte-identical at Workers 1, 4, and 8 and across repeat
-// runs, and validates against the schema.
+// TestSpanDeterministicAcrossWorkers is the one-file acceptance gate,
+// the sibling of TestTraceDeterministicAcrossWorkers: the trace of
+// events and spans for a fixed seed is byte-identical at Workers 1, 4,
+// and 8 and across repeat runs, and validates against the schema. Each
+// route and steal is recorded once, as an event, never as a span.
 func TestSpanDeterministicAcrossWorkers(t *testing.T) {
 	ref, _ := spannedFederation(t, 1, span.NewRecorder())
 	if len(ref) == 0 {
@@ -48,25 +53,37 @@ func TestSpanDeterministicAcrossWorkers(t *testing.T) {
 			gl, rl := strings.Split(string(got), "\n"), strings.Split(string(ref), "\n")
 			for i := range rl {
 				if i >= len(gl) || gl[i] != rl[i] {
-					t.Fatalf("%s: span JSONL differs at line %d:\n  ref: %s\n  got: %s",
+					t.Fatalf("%s: trace differs at line %d:\n  ref: %s\n  got: %s",
 						name, i+1, rl[i], gl[min(i, len(gl)-1)])
 				}
 			}
-			t.Fatalf("%s: span JSONL differs: %d vs %d lines", name, len(rl), len(gl))
+			t.Fatalf("%s: trace differs: %d vs %d lines", name, len(rl), len(gl))
 		}
 	}
-	_, spans, err := tracing.ReadJSONLAll(bytes.NewReader(ref))
+	runs, spans, err := tracing.ReadJSONLAll(bytes.NewReader(ref))
 	if err != nil {
-		t.Fatalf("span export fails schema validation: %v", err)
+		t.Fatalf("trace fails schema validation: %v", err)
+	}
+	byKind := map[tracing.Kind]int{}
+	for _, r := range runs {
+		for _, e := range r.Events {
+			byKind[e.Kind]++
+		}
+	}
+	if byKind[tracing.KindRoute] == 0 || byKind[tracing.KindSteal] == 0 {
+		t.Errorf("trace holds %d route and %d steal events, want both", byKind[tracing.KindRoute], byKind[tracing.KindSteal])
 	}
 	byName := map[string]int{}
 	for _, s := range spans {
 		byName[s.Name]++
 	}
-	for _, name := range []string{"experiments", "federation", "cell", "fed.epoch", "fed.shard", "fed.route"} {
+	for _, name := range []string{"experiments", "federation", "cell", "fed.epoch", "fed.shard"} {
 		if byName[name] == 0 {
 			t.Errorf("no %q spans recorded: %v", name, byName)
 		}
+	}
+	if byName["fed.route"]+byName["fed.steal"] > 0 {
+		t.Errorf("routes or steals recorded as spans: %v", byName)
 	}
 }
 

@@ -19,7 +19,7 @@ func tracedTable2(t *testing.T, workers int) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tracing.WriteJSONL(&buf, col); err != nil {
+	if err := tracing.WriteJSONL(&buf, col, nil); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -43,7 +43,7 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("trace differs between Workers=1 and Workers=8: %d vs %d lines", len(sl), len(pl))
 	}
 	// The export must also pass its own schema validator.
-	runs, err := tracing.ReadJSONL(bytes.NewReader(serial))
+	runs, _, err := tracing.ReadJSONLAll(bytes.NewReader(serial))
 	if err != nil {
 		t.Fatalf("traced Table 2 export fails schema validation: %v", err)
 	}

@@ -111,11 +111,10 @@ type Config struct {
 	ShardTracer func(shard int) *tracing.Tracer
 	// Span, when set, is the parent under which Run brackets each epoch
 	// barrier (fed.epoch), per-shard advance (fed.shard, with the kernel
-	// events it executed), every route/steal decision (fed.route,
-	// fed.steal, carrying the matching Tracer event's seq), and the final
-	// drain (fed.drain). All span instants are simulated seconds and all
-	// IDs derive from the parent, so the span tree is byte-identical for
-	// any Runner. Nil costs nothing.
+	// events it executed), and the final drain (fed.drain). Route and
+	// steal decisions are Tracer events, not spans. All span instants
+	// are simulated seconds and all IDs derive from the parent, so the
+	// span tree is byte-identical for any Runner. Nil costs nothing.
 	Span *span.Active
 	// Ctx, when non-nil, aborts the fleet cooperatively mid-epoch.
 	Ctx context.Context
@@ -307,7 +306,7 @@ func (f *Fleet) Run() error {
 		ep := f.cfg.Span.Child("fed.epoch", epoch, int64(t)).Attr("epoch", int64(epoch))
 		if f.metered {
 			f.refreshView(t)
-			f.route(t, ep)
+			f.route(t)
 		}
 		f.advanceTo(t, t+f.cfg.Epoch, ep)
 		if err := f.interrupted(); err != nil {
@@ -353,7 +352,7 @@ func (f *Fleet) runEach(fn func(sh *shard)) {
 // advanceTo runs every shard to the barrier, bracketing each advance
 // with a fed.shard span recording how many kernel events the shard
 // executed this epoch — the per-epoch critical-path signal tracescope
-// -spans reports. Child IDs derive from (ep, shard index), and instants
+// reports. Child IDs derive from (ep, shard index), and instants
 // are the barrier bounds, so concurrent runners record identical spans.
 func (f *Fleet) advanceTo(from, to sim.Time, ep *span.Active) {
 	f.runEach(func(sh *shard) {
@@ -458,7 +457,7 @@ func (f *Fleet) refreshView(t sim.Time) {
 // post-grant view would never show the idle (zero-backlog) shards that
 // stealing exists to feed. Every decision happens here, on the fleet
 // goroutine, in a fixed order — the router RNG never races.
-func (f *Fleet) route(t sim.Time, ep *span.Active) {
+func (f *Fleet) route(t sim.Time) {
 	if len(f.view.Shards) == 0 {
 		return
 	}
@@ -508,18 +507,6 @@ func (f *Fleet) route(t sim.Time, ep *span.Active) {
 				f.cfg.Tracer.Emit(t, tracing.KindSteal, tracing.ReasonStolen,
 					s.From, units, tracing.NoBusy, int64(s.To))
 			}
-			if ep != nil {
-				// Index by the steal counter so each steal's span ID is
-				// unique and reproducible; "seq" links to the KindSteal
-				// event just emitted.
-				cs := ep.Child("fed.steal", uint64(f.stats.Steals), int64(t)).
-					Attr("from", int64(s.From)).Attr("to", int64(s.To)).
-					Attr("units", int64(units)).Str("outcome", "stolen")
-				if f.cfg.Tracer != nil {
-					cs.Attr("seq", int64(f.cfg.Tracer.Emitted()))
-				}
-				cs.End(int64(t))
-			}
 		}
 	}
 	// Fresh units this epoch: offered demand over the routable capacity,
@@ -551,27 +538,13 @@ func (f *Fleet) route(t sim.Time, ep *span.Active) {
 		f.stats.Units++
 		f.unitSeq++
 		touched[sh.idx] = true
-		migrated := mc != nil && mc.Migrations() > migBefore
 		if f.cfg.Tracer != nil {
 			reason := tracing.ReasonRouted
-			if migrated {
+			if mc != nil && mc.Migrations() > migBefore {
 				reason = tracing.ReasonMigrated
 			}
 			f.cfg.Tracer.Emit(t, tracing.KindRoute, reason,
 				int(f.unitSeq), f.cfg.Unit.CPUs, f.view.Shards[p].Busy, int64(sh.idx))
-		}
-		if ep != nil {
-			outcome := "routed"
-			if migrated {
-				outcome = "migrated"
-			}
-			cs := ep.Child("fed.route", uint64(f.unitSeq), int64(t)).
-				Attr("unit", f.unitSeq).Attr("shard", int64(sh.idx)).
-				Attr("busy", int64(f.view.Shards[p].Busy)).Str("outcome", outcome)
-			if f.cfg.Tracer != nil {
-				cs.Attr("seq", int64(f.cfg.Tracer.Emitted()))
-			}
-			cs.End(int64(t))
 		}
 	}
 	// Wake every shard whose entitlement grew: an event at t in the

@@ -48,7 +48,8 @@ func runSpannedFleet(t *testing.T, runner func(int, func(int))) []byte {
 // federation acceptance gate: the exported span JSONL is byte-identical
 // at workers 1/4/8, under reversed shard order, and across repeat runs —
 // and it validates against the schema (every parent present, every
-// epoch/shard/route/steal span well-formed).
+// epoch/shard/drain span well-formed). Routes and steals are tracer
+// events only, never spans.
 func TestFleetSpansDeterministicAcrossRunners(t *testing.T) {
 	ref := runSpannedFleet(t, nil)
 	if len(ref) == 0 {
@@ -62,10 +63,13 @@ func TestFleetSpansDeterministicAcrossRunners(t *testing.T) {
 	for _, s := range spans {
 		byName[s.Name]++
 	}
-	for _, name := range []string{"fed", "fed.epoch", "fed.shard", "fed.route", "fed.steal", "fed.drain"} {
+	for _, name := range []string{"fed", "fed.epoch", "fed.shard", "fed.drain"} {
 		if byName[name] == 0 {
 			t.Errorf("no %s spans in %v", name, byName)
 		}
+	}
+	if len(byName) != 4 {
+		t.Errorf("span names %v, want only fed, fed.epoch, fed.shard and fed.drain", byName)
 	}
 	for name, r := range map[string]func(int, func(int)){
 		"workers=4": federation.ParallelRunner(4),
@@ -76,64 +80,5 @@ func TestFleetSpansDeterministicAcrossRunners(t *testing.T) {
 		if got := runSpannedFleet(t, r); !bytes.Equal(got, ref) {
 			t.Errorf("%s: span JSONL differs from serial run", name)
 		}
-	}
-}
-
-// TestFleetSpanSeqLinksTracer: every fed.route/fed.steal span carries a
-// "seq" attribute naming the matching KindRoute/KindSteal trace event.
-func TestFleetSpanSeqLinksTracer(t *testing.T) {
-	pol, _ := federation.ParsePolicy("work-stealing:batch=2,victim=max")
-	rec := span.NewRecorder()
-	root := rec.Root("fed", 7, 0, 0)
-	tr := tracing.NewCollector(0).Tracer("fleet", "fleet", 0)
-	fl, err := federation.New(federation.Config{
-		Machines: tinyFleet(4, 0.01),
-		Policy:   pol,
-		Unit:     federation.UnitSpec{CPUs: 16, Seconds1GHz: 300},
-		Demand:   0.3,
-		Seed:     7,
-		Tracer:   tr,
-		Span:     root,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.Run(); err != nil {
-		t.Fatal(err)
-	}
-	root.End(0)
-	events := map[int64]tracing.Event{}
-	for _, e := range tr.Events() {
-		events[int64(e.Seq)] = e
-	}
-	checked := 0
-	for _, s := range rec.Spans() {
-		if s.Name != "fed.route" && s.Name != "fed.steal" {
-			continue
-		}
-		seq, ok := s.Attr("seq")
-		if !ok {
-			t.Fatalf("%s span without seq link: %+v", s.Name, s)
-		}
-		e, ok := events[seq.Val]
-		if !ok {
-			// The tracer's ring may have dropped the event; the link is
-			// still well-formed, just unresolvable.
-			continue
-		}
-		want := tracing.KindRoute
-		if s.Name == "fed.steal" {
-			want = tracing.KindSteal
-		}
-		if e.Kind != want {
-			t.Fatalf("%s span seq %d resolves to %s event", s.Name, seq.Val, e.Kind)
-		}
-		if at := int64(e.At); at != s.Start {
-			t.Fatalf("%s span at %d links event at %d", s.Name, s.Start, at)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no route/steal spans resolved against the tracer")
 	}
 }

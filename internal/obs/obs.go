@@ -24,8 +24,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -161,7 +159,7 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// MarshalText renders the kind for JSON/expvar export.
+// MarshalText renders the kind for JSON export (run manifests).
 func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
 
 // UnmarshalText parses an exported kind so archived snapshots decode.
@@ -353,16 +351,6 @@ func formatBound(b float64) string {
 	return strconv.FormatFloat(b, 'g', -1, 64)
 }
 
-// WriteJSON renders the snapshot as indented JSON. Field order follows the
-// struct declarations and metrics keep registration order, so two
-// snapshots of the same registry state are byte-identical — archivable
-// next to a trace file and diffable across runs.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
 // Handler returns an http.Handler serving the registry's live snapshot in
 // Prometheus text exposition format — the same bytes WriteText renders —
 // so a daemon can mount the registry at /metrics and be scraped. Each
@@ -378,21 +366,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_, _ = w.Write(buf.Bytes())
 	})
-}
-
-// expvarPublished guards against double-publishing (expvar.Publish panics
-// on duplicate names, and tests may build many registries).
-var expvarPublished sync.Map
-
-// PublishExpvar exposes the registry's live snapshot as the named expvar,
-// so an embedded HTTP server's /debug/vars serves it alongside the
-// runtime's memstats. Publishing the same name twice is a no-op (the first
-// registry wins) rather than the panic expvar itself would raise; the
-// return value reports whether this call was the one that published.
-func (r *Registry) PublishExpvar(name string) bool {
-	if _, dup := expvarPublished.LoadOrStore(name, true); dup {
-		return false
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return true
 }

@@ -193,8 +193,8 @@ func TestWriteText(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSON ensures the expvar export path (JSON marshalling of a
-// snapshot) works and names kinds readably.
+// TestSnapshotJSON ensures a snapshot marshals to JSON (the form run
+// manifests embed) and names kinds readably.
 func TestSnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "help").Inc()
@@ -204,57 +204,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"kind":"counter"`) {
 		t.Errorf("JSON export lacks readable kind: %s", b)
-	}
-}
-
-// TestSnapshotWriteJSON pins the archival JSON export: stable field order
-// (declaration order, metrics in registration order), so two encodings of
-// the same state are byte-identical, and histogram fields round-trip.
-func TestSnapshotWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a_total", "first").Add(3)
-	r.Gauge("b", "").Set(-2)
-	h := r.Histogram("c_seconds", "hist", []float64{1, 10})
-	h.Observe(5)
-
-	var one, two strings.Builder
-	if err := r.Snapshot().WriteJSON(&one); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Snapshot().WriteJSON(&two); err != nil {
-		t.Fatal(err)
-	}
-	if one.String() != two.String() {
-		t.Errorf("WriteJSON not deterministic:\n%s\nvs\n%s", one.String(), two.String())
-	}
-	var decoded Snapshot
-	if err := json.Unmarshal([]byte(one.String()), &decoded); err != nil {
-		t.Fatalf("WriteJSON output does not parse: %v", err)
-	}
-	if len(decoded.Metrics) != 3 || decoded.Metrics[0].Name != "a_total" ||
-		decoded.Metrics[2].Count != 1 || len(decoded.Metrics[2].Counts) != 3 {
-		t.Errorf("round-trip lost data: %+v", decoded)
-	}
-	// Registration order, not name order, and fields in declaration order.
-	iName := strings.Index(one.String(), `"name": "a_total"`)
-	iKind := strings.Index(one.String(), `"kind": "counter"`)
-	if iName < 0 || iKind < 0 || iKind < iName {
-		t.Errorf("field order not stable:\n%s", one.String())
-	}
-}
-
-func TestPublishExpvarIdempotent(t *testing.T) {
-	r := NewRegistry()
-	if !r.PublishExpvar("obs_test_metrics") {
-		t.Error("first publish reported dup")
-	}
-	// A second publish under the same name must not panic — it reports
-	// false and keeps the first registry's export.
-	if NewRegistry().PublishExpvar("obs_test_metrics") {
-		t.Error("second publish reported first")
-	}
-	if r.PublishExpvar("obs_test_metrics") {
-		t.Error("republish by the same registry reported first")
 	}
 }
 

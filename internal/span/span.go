@@ -2,8 +2,8 @@
 // decision tracer (internal/tracing): lightweight spans with explicit
 // parent links that bracket the operations "production" traffic flows
 // through — an advisord request's admission/cache/coalesce/plan stages,
-// an experiment's work cells, a federation run's epochs, shard advances,
-// and route/steal decisions.
+// an experiment's work cells, a federation run's epochs and shard
+// advances.
 //
 // Design constraints, in order:
 //
@@ -22,8 +22,8 @@
 //     the single goroutine that owns the Active handle. Recorder is
 //     fully synchronized.
 //
-// Spans export through internal/tracing's JSONL/Perfetto exporters and
-// are reported by cmd/tracescope -spans.
+// Spans export through internal/tracing's JSONL/Perfetto writers, in one
+// file with the decision events, and cmd/tracescope reports on both.
 package span
 
 import (

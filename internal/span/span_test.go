@@ -3,9 +3,12 @@ package span
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
+
+	"interstitial/internal/obs"
 )
 
 // TestIDsDeterministic pins the core contract: span IDs are a pure
@@ -189,6 +192,52 @@ func TestManifestDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(bufA.String(), `"go": "go`) {
 		t.Fatalf("manifest missing toolchain stamp: %s", bufA.String())
+	}
+}
+
+// TestManifestMetricsJSON pins the metrics snapshot a manifest archives:
+// two encodings of the same state are byte-identical, the snapshot
+// round-trips (kinds decode through obs.Kind.UnmarshalText), metrics keep
+// registration order, and fields keep declaration order.
+func TestManifestMetricsJSON(t *testing.T) {
+	r := obs.NewRegistry()
+	r.Counter("b_total", "first").Add(3)
+	r.Gauge("a", "").Set(-2)
+	r.Histogram("c_seconds", "hist", []float64{1, 10}).Observe(5)
+	encode := func() string {
+		t.Helper()
+		m := NewManifest(1, 0.5)
+		snap := r.Snapshot()
+		m.Metrics = &snap
+		var buf bytes.Buffer
+		if err := m.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	one := encode()
+	if two := encode(); one != two {
+		t.Fatalf("manifest encoding not deterministic:\n%s\nvs\n%s", one, two)
+	}
+	var decoded Manifest
+	if err := json.Unmarshal([]byte(one), &decoded); err != nil {
+		t.Fatalf("manifest does not parse: %v", err)
+	}
+	if decoded.Metrics == nil || len(decoded.Metrics.Metrics) != 3 {
+		t.Fatalf("round-trip lost the metrics: %+v", decoded.Metrics)
+	}
+	ms := decoded.Metrics.Metrics
+	if ms[0].Name != "b_total" || ms[0].Kind != obs.KindCounter || ms[0].Value != 3 ||
+		ms[1].Kind != obs.KindGauge || ms[1].Value != -2 ||
+		ms[2].Kind != obs.KindHistogram || ms[2].Count != 1 || len(ms[2].Counts) != 3 {
+		t.Errorf("round-trip lost data: %+v", ms)
+	}
+	// Registration order, not name order, and fields in declaration order.
+	iB := strings.Index(one, `"name": "b_total"`)
+	iA := strings.Index(one, `"name": "a"`)
+	iKind := strings.Index(one, `"kind": "counter"`)
+	if iB < 0 || iA < iB || iKind < iB {
+		t.Errorf("metric or field order not stable:\n%s", one)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"interstitial/internal/sim"
+	"interstitial/internal/span"
 )
 
 // Format names a trace export format for CLI flag parsing.
@@ -15,9 +16,9 @@ type Format string
 
 // The supported export formats.
 const (
-	FormatJSONL  Format = "jsonl"  // one JSON object per line: run headers + events
+	FormatJSONL  Format = "jsonl"  // one JSON object per line: run headers, events, spans
 	FormatChrome Format = "chrome" // Chrome trace-event JSON (Perfetto, chrome://tracing)
-	FormatAudit  Format = "audit"  // per-job lifecycle audit table (CSV)
+	FormatAudit  Format = "audit"  // per-job lifecycle audit table (CSV); events only
 )
 
 // ParseFormat validates a -trace-format flag value.
@@ -29,13 +30,15 @@ func ParseFormat(s string) (Format, error) {
 	return "", fmt.Errorf("tracing: unknown format %q (want jsonl, chrome, or audit)", s)
 }
 
-// Export writes the collector in the given format.
-func Export(w io.Writer, c *Collector, f Format) error {
+// Export writes the collector's runs and the spans in the given format.
+// The audit table has no form for spans, so FormatAudit writes the runs
+// only.
+func Export(w io.Writer, c *Collector, spans []span.Span, f Format) error {
 	switch f {
 	case FormatJSONL:
-		return WriteJSONL(w, c)
+		return WriteJSONL(w, c, spans)
 	case FormatChrome:
-		return WriteChrome(w, c)
+		return WriteChrome(w, c, spans)
 	case FormatAudit:
 		return WriteAudit(w, c)
 	}
@@ -68,10 +71,52 @@ type jsonEvent struct {
 	Aux    int64  `json:"aux,omitempty"`
 }
 
-// WriteJSONL writes every run as a header line followed by its surviving
-// events, one JSON object per line, runs sorted by label. Two identical
-// simulations produce byte-identical streams.
-func WriteJSONL(w io.Writer, c *Collector) error {
+// jsonSpan is the JSONL span line. IDs travel as fixed-width hex strings
+// (span.ID.String()) — JSON numbers can't carry 64 bits losslessly.
+// Attrs is a map so encoding/json renders keys sorted: the line is
+// byte-deterministic for equal spans.
+type jsonSpan struct {
+	Type   string         `json:"type"` // "span"
+	Trace  string         `json:"trace"`
+	ID     string         `json:"id"`
+	Parent string         `json:"parent,omitempty"`
+	Name   string         `json:"name"`
+	Start  int64          `json:"start"`
+	End    int64          `json:"end"`
+	Attrs  map[string]any `json:"attrs,omitempty"`
+}
+
+func toJSONSpan(s span.Span) jsonSpan {
+	js := jsonSpan{Type: "span", Trace: s.Trace.String(), ID: s.ID.String(),
+		Name: s.Name, Start: s.Start, End: s.End}
+	if s.Parent != 0 {
+		js.Parent = s.Parent.String()
+	}
+	if len(s.Attrs) > 0 {
+		js.Attrs = make(map[string]any, len(s.Attrs))
+		putAttrs(js.Attrs, s.Attrs)
+	}
+	return js
+}
+
+// putAttrs stores span attributes in m: a string attribute as its
+// string, any other as its number.
+func putAttrs(m map[string]any, attrs []span.Attr) {
+	for _, a := range attrs {
+		if a.Str != "" {
+			m[a.Key] = a.Str
+		} else {
+			m[a.Key] = a.Val
+		}
+	}
+}
+
+// WriteJSONL writes one trace stream: every run as a header line
+// followed by its surviving events, runs sorted by label, then one line
+// per span in the order given (Recorder.Spans() is already a
+// run-independent total order). Two identical simulations produce
+// byte-identical streams.
+func WriteJSONL(w io.Writer, c *Collector, spans []span.Span) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for _, t := range c.Runs() {
@@ -90,30 +135,16 @@ func WriteJSONL(w io.Writer, c *Collector) error {
 			}
 		}
 	}
+	for _, s := range spans {
+		if err := enc.Encode(toJSONSpan(s)); err != nil {
+			return err
+		}
+	}
 	return bw.Flush()
 }
 
-// RunRecord is one run parsed back from a JSONL trace.
-type RunRecord struct {
-	Run     string
-	Machine string
-	CPUs    int
-	Emitted uint64
-	Dropped uint64
-	Events  []Event
-}
-
-// ReadJSONL parses and validates a JSONL trace: every line must be valid
-// JSON of a known type, every event must name a known kind and reason,
-// belong to a previously declared run, keep seq strictly increasing and
-// time non-decreasing within its run, and respect the run's CPU bound.
-// Interleaved "span" lines are validated too (see ReadJSONLAll, which
-// also returns them). This is the schema validator behind `make
-// trace-demo` and tracescope.
-func ReadJSONL(r io.Reader) ([]*RunRecord, error) {
-	runs, _, err := ReadJSONLAll(r)
-	return runs, err
-}
+// WriteSpansJSONL writes a span-only stream.
+func WriteSpansJSONL(w io.Writer, spans []span.Span) error { return WriteJSONL(w, nil, spans) }
 
 // --- Chrome trace-event export ---
 
@@ -133,8 +164,7 @@ type chromeEvent struct {
 }
 
 // jobSpan is one job's residency on the machine, paired from begin/end
-// events for the lane-layout pass. (Request/run spans from internal/span
-// are a different beast; see spans.go.)
+// events for the lane-layout pass.
 type jobSpan struct {
 	job        int
 	start, end sim.Time
@@ -149,12 +179,15 @@ type jobSpan struct {
 func beginsSpan(k Kind) bool { return k == KindStart || k == KindBackfill || k == KindPlace }
 func endsSpan(k Kind) bool   { return k == KindFinish || k == KindKill || k == KindRestore }
 
-// WriteChrome renders the collector as Chrome trace-event JSON, loadable
-// in Perfetto or chrome://tracing. Each run is one process (one track
-// group per machine): job lifecycle spans are laid out on greedy lanes so
-// concurrent jobs never overlap on a row, and a busy_cpus counter track
-// shows the utilization the decisions produced.
-func WriteChrome(w io.Writer, c *Collector) error {
+// WriteChrome renders the collector and the spans as Chrome trace-event
+// JSON, loadable in Perfetto or chrome://tracing. Each run is one
+// process (one track group per machine): job lifecycle spans are laid
+// out on greedy lanes so concurrent jobs never overlap on a row, and a
+// busy_cpus counter track shows the utilization the decisions produced.
+// Each span trace then gets one process, numbered on from the runs,
+// holding its spans as complete events with their IDs and attributes in
+// args.
+func WriteChrome(w io.Writer, c *Collector, spans []span.Span) error {
 	bw := bufio.NewWriter(w)
 	if _, err := io.WriteString(bw, "{\"traceEvents\":[\n"); err != nil {
 		return err
@@ -174,7 +207,8 @@ func WriteChrome(w io.Writer, c *Collector) error {
 		_, err = bw.Write(b)
 		return err
 	}
-	for pid, t := range c.Runs() {
+	runs := c.Runs()
+	for pid, t := range runs {
 		events := t.Events()
 		name := t.Run()
 		if m := t.Machine(); m != "" {
@@ -188,8 +222,8 @@ func WriteChrome(w io.Writer, c *Collector) error {
 			Args: map[string]any{"sort_index": pid}}); err != nil {
 			return err
 		}
-		spans, last := pairSpans(events)
-		for _, ls := range layoutLanes(spans, last) {
+		jobs, last := pairSpans(events)
+		for _, ls := range layoutLanes(jobs, last) {
 			dur := int64(ls.s.end - ls.s.start)
 			if dur < 1 {
 				dur = 1
@@ -208,6 +242,31 @@ func WriteChrome(w io.Writer, c *Collector) error {
 				Args: map[string]any{"busy": e.Busy}}); err != nil {
 				return err
 			}
+		}
+	}
+	pids := make(map[span.ID]int)
+	for _, s := range spans {
+		pid, ok := pids[s.Trace]
+		if !ok {
+			pid = len(runs) + len(pids)
+			pids[s.Trace] = pid
+			if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
+				Args: map[string]any{"name": "trace " + s.Trace.String()}}); err != nil {
+				return err
+			}
+		}
+		dur := s.Duration()
+		if dur < 1 {
+			dur = 1
+		}
+		args := map[string]any{"id": s.ID.String()}
+		if s.Parent != 0 {
+			args["parent"] = s.Parent.String()
+		}
+		putAttrs(args, s.Attrs)
+		if err := emit(chromeEvent{Name: s.Name, Ph: "X", Ts: s.Start, Dur: dur,
+			Pid: pid, Tid: 0, Cat: "span", Args: args}); err != nil {
+			return err
 		}
 	}
 	if _, err := io.WriteString(bw, "\n]}\n"); err != nil {

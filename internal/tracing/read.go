@@ -1,11 +1,5 @@
 package tracing
 
-// Request/run span export: internal/span records spans (advisord
-// requests, experiment cells, federation epochs); this file gives them
-// the same JSONL/Perfetto treatment the kernel's decision events get,
-// sharing one file format — "span" lines interleave with "run"/"event"
-// lines and ReadJSONLAll validates both together.
-
 import (
 	"bufio"
 	"encoding/json"
@@ -17,124 +11,16 @@ import (
 	"interstitial/internal/span"
 )
 
-// jsonSpan is the JSONL span line. IDs travel as fixed-width hex strings
-// (span.ID.String()) — JSON numbers can't carry 64 bits losslessly.
-// Attrs is a map so encoding/json renders keys sorted: the line is
-// byte-deterministic for equal spans.
-type jsonSpan struct {
-	Type   string         `json:"type"` // "span"
-	Trace  string         `json:"trace"`
-	ID     string         `json:"id"`
-	Parent string         `json:"parent,omitempty"`
-	Name   string         `json:"name"`
-	Start  int64          `json:"start"`
-	End    int64          `json:"end"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
-}
+// RunRecord is one run parsed back from a JSONL trace.
+type RunRecord struct {
+	Run     string
+	Machine string
+	CPUs    int
+	Emitted uint64
+	Dropped uint64
+	Events  []Event
 
-func toJSONSpan(s span.Span) jsonSpan {
-	js := jsonSpan{Type: "span", Trace: s.Trace.String(), ID: s.ID.String(),
-		Name: s.Name, Start: s.Start, End: s.End}
-	if s.Parent != 0 {
-		js.Parent = s.Parent.String()
-	}
-	if len(s.Attrs) > 0 {
-		js.Attrs = make(map[string]any, len(s.Attrs))
-		for _, a := range s.Attrs {
-			if a.Str != "" {
-				js.Attrs[a.Key] = a.Str
-			} else {
-				js.Attrs[a.Key] = a.Val
-			}
-		}
-	}
-	return js
-}
-
-// WriteSpansJSONL writes spans one JSON object per line, in the order
-// given (Recorder.Spans() already sorts them into a run-independent
-// total order, so identical runs produce byte-identical streams).
-func WriteSpansJSONL(w io.Writer, spans []span.Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		if err := enc.Encode(toJSONSpan(s)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteSpansChrome renders spans as Chrome trace-event JSON (Perfetto,
-// chrome://tracing): one process per trace, spans as complete events
-// with their IDs and attributes in args.
-func WriteSpansChrome(w io.Writer, spans []span.Span) error {
-	bw := bufio.NewWriter(w)
-	if _, err := io.WriteString(bw, "{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(e chromeEvent) error {
-		if !first {
-			if _, err := io.WriteString(bw, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
-	}
-	pids := make(map[span.ID]int)
-	for _, s := range spans {
-		pid, ok := pids[s.Trace]
-		if !ok {
-			pid = len(pids)
-			pids[s.Trace] = pid
-			if err := emit(chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
-				Args: map[string]any{"name": "trace " + s.Trace.String()}}); err != nil {
-				return err
-			}
-		}
-		dur := s.Duration()
-		if dur < 1 {
-			dur = 1
-		}
-		args := map[string]any{"id": s.ID.String()}
-		if s.Parent != 0 {
-			args["parent"] = s.Parent.String()
-		}
-		for _, a := range s.Attrs {
-			if a.Str != "" {
-				args[a.Key] = a.Str
-			} else {
-				args[a.Key] = a.Val
-			}
-		}
-		if err := emit(chromeEvent{Name: s.Name, Ph: "X", Ts: s.Start, Dur: dur,
-			Pid: pid, Tid: 0, Cat: "span", Args: args}); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(bw, "\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ExportSpans writes spans in the given format (jsonl or chrome; spans
-// have no audit form).
-func ExportSpans(w io.Writer, spans []span.Span, f Format) error {
-	switch f {
-	case FormatJSONL:
-		return WriteSpansJSONL(w, spans)
-	case FormatChrome:
-		return WriteSpansChrome(w, spans)
-	}
-	return fmt.Errorf("tracing: format %q does not support spans (want jsonl or chrome)", f)
+	kept int // the header's kept count, checked against the event lines
 }
 
 // parseSpanID parses the fixed-width hex wire form back to an ID.
@@ -149,15 +35,20 @@ func parseSpanID(line int, field, s string) (span.ID, error) {
 	return span.ID(v), nil
 }
 
-// ReadJSONLAll parses and validates a mixed JSONL trace: "run"/"event"
-// lines exactly as ReadJSONL, plus "span" lines. Span validation is
-// two-pass because a parent's line may legally follow its children's
-// (sorting is by start time, and a fan-out's cells can share their
-// parent's start): pass one checks each line in isolation — well-formed
-// IDs, end ≥ start, a name, string-or-number attrs, no duplicate ID
-// within a trace — and pass two checks the links: every non-root parent
-// exists in the file and shares the child's trace, and every root is its
-// own trace (Trace == ID).
+// ReadJSONLAll parses and validates a JSONL trace — the one reader of
+// run, event and span lines, and the schema validator behind
+// `tracescope -check`. Every line must be valid JSON of a known type.
+// Every event must name a known kind and reason, belong to a previously
+// declared run, keep seq strictly increasing and time non-decreasing
+// within its run, and respect the run's CPU bound; each run's event
+// lines must number its header's kept, and kept + dropped must equal
+// emitted. Span validation is two-pass because a parent's line may
+// legally follow its children's (sorting is by start time, and a
+// fan-out's cells can share their parent's start): pass one checks each
+// line in isolation — well-formed IDs, end ≥ start, a name,
+// string-or-number attrs, no duplicate ID within a trace — and pass two
+// checks the links: every non-root parent exists in the file and shares
+// the child's trace, and every root is its own trace (Trace == ID).
 func ReadJSONLAll(r io.Reader) ([]*RunRecord, []span.Span, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
@@ -194,7 +85,7 @@ func ReadJSONLAll(r io.Reader) ([]*RunRecord, []span.Span, error) {
 				return nil, nil, fmt.Errorf("tracing: line %d: duplicate run %q", line, h.Run)
 			}
 			rec := &RunRecord{Run: h.Run, Machine: h.Machine, CPUs: h.CPUs,
-				Emitted: h.Emitted, Dropped: h.Dropped}
+				Emitted: h.Emitted, Dropped: h.Dropped, kept: h.Kept}
 			byRun[h.Run] = rec
 			runs = append(runs, rec)
 		case "event":
@@ -282,6 +173,10 @@ func ReadJSONLAll(r io.Reader) ([]*RunRecord, []span.Span, error) {
 		return nil, nil, err
 	}
 	for _, rec := range runs {
+		if len(rec.Events) != rec.kept {
+			return nil, nil, fmt.Errorf("tracing: run %q: %d event lines, header kept %d",
+				rec.Run, len(rec.Events), rec.kept)
+		}
 		if uint64(len(rec.Events))+rec.Dropped != rec.Emitted {
 			return nil, nil, fmt.Errorf("tracing: run %q: kept %d + dropped %d != emitted %d",
 				rec.Run, len(rec.Events), rec.Dropped, rec.Emitted)

@@ -167,21 +167,21 @@ func testCollector() *Collector {
 	return c
 }
 
-// TestJSONLRoundTrip: WriteJSONL is deterministic, and ReadJSONL
+// TestJSONLRoundTrip: WriteJSONL is deterministic, and ReadJSONLAll
 // recovers exactly the events that were written.
 func TestJSONLRoundTrip(t *testing.T) {
 	c := testCollector()
 	var a, b bytes.Buffer
-	if err := WriteJSONL(&a, c); err != nil {
+	if err := WriteJSONL(&a, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSONL(&b, c); err != nil {
+	if err := WriteJSONL(&b, c, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("two exports of the same collector differ")
 	}
-	runs, err := ReadJSONL(bytes.NewReader(a.Bytes()))
+	runs, _, err := ReadJSONLAll(bytes.NewReader(a.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,16 +223,17 @@ func TestReadJSONLRejects(t *testing.T) {
 		"busy over cpus":   head + "\n" + `{"type":"event","run":"r","seq":1,"at":0,"kind":"finish","busy":5}`,
 		"busy under -1":    head + "\n" + `{"type":"event","run":"r","seq":1,"at":0,"kind":"finish","busy":-2}`,
 		"kept != emitted":  head,
+		"kept != lines":    `{"type":"run","run":"r","machine":"m","cpus":4,"emitted":2,"kept":7,"dropped":1}` + "\n" + `{"type":"event","run":"r","seq":1,"at":0,"kind":"finish","busy":0}`,
 		"event after head": head + "\n" + `{"type":"event","run":"r","seq":1,"at":0,"kind":"finish","busy":0}` + "\n" + `{"type":"event","run":"r","seq":2,"at":1,"kind":"finish","busy":0}`,
 	}
 	for name, in := range cases {
-		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadJSONLAll(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validator accepted malformed trace", name)
 		}
 	}
 	// And the happy path for the same hand-written schema.
 	ok := head + "\n" + `{"type":"event","run":"r","seq":1,"at":0,"kind":"finish","busy":0}`
-	if _, err := ReadJSONL(strings.NewReader(ok)); err != nil {
+	if _, _, err := ReadJSONLAll(strings.NewReader(ok)); err != nil {
 		t.Fatalf("validator rejected well-formed trace: %v", err)
 	}
 }
@@ -241,7 +242,7 @@ func TestReadJSONLRejects(t *testing.T) {
 // (metadata record) per run, job spans, and a busy_cpus counter track.
 func TestChromeExport(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, testCollector()); err != nil {
+	if err := WriteChrome(&buf, testCollector(), nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -336,7 +337,7 @@ func c2events(c *Collector, run string) []Event {
 // and finds the idle holes between machine decisions.
 func TestSummarize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, testCollector()); err != nil {
+	if err := WriteJSONL(&buf, testCollector(), nil); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Summarize(&buf)
@@ -383,10 +384,10 @@ func TestSampledExportValidates(t *testing.T) {
 		tr.Emit(sim.Time(i), KindFinish, ReasonNone, i, 1, 1, 0)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, c); err != nil {
+	if err := WriteJSONL(&buf, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	runs, err := ReadJSONL(&buf)
+	runs, _, err := ReadJSONLAll(&buf)
 	if err != nil {
 		t.Fatalf("sampled trace failed validation: %v", err)
 	}
