@@ -46,19 +46,20 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem -count $(BENCHCOUNT) ./... | tee BENCH_$$n.txt
 
 # Scheduling hot-path microbenchmarks only — kernel event loop, profile
-# planning queries, the release-timeline upkeep and plan rebuild, and a
-# full dispatcher pass at paper-scale queue depth.
+# planning queries, the release-timeline upkeep and plan rebuild, a full
+# dispatcher pass at paper-scale queue depth, and one fair-share
+# epoch-change reorder.
 # Runs in seconds, for quick iteration on scheduler changes; `make bench`
 # records the whole suite to a BENCH_<n>.txt artifact.
 bench-sched:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel|BenchmarkSchedulePass|BenchmarkProfileEarliestFit|BenchmarkReleaseChurn)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel|BenchmarkSchedulePass|BenchmarkProfileEarliestFit|BenchmarkReleaseChurn|BenchmarkFairShareReorder)' \
 		-benchmem -count $(BENCHCOUNT) ./internal/profile/ ./internal/sched/ .
 
-# Federation routing microbenchmarks — one routing decision and one
-# steal-matching pass over a 64-shard fleet view. Guarded by the CI
-# bench-regression gate.
+# Federation microbenchmarks — one routing decision and one steal-matching
+# pass over a 64-shard fleet view (both guarded by the CI bench-regression
+# gate), and one retired record folded into the merge digest.
 bench-fed:
-	$(GO) test -run '^$$' -bench '^(BenchmarkFederationRoute|BenchmarkFederationSteal)$$' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkFederationRoute|BenchmarkFederationSteal|BenchmarkDigestFold)$$' \
 		-benchmem -count $(BENCHCOUNT) ./internal/federation/
 
 # Kernel microbenchmarks — the raw event loop, churny cancellation, the
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzScheduleConfig -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzAdvisorRequest -fuzztime 30s ./internal/advisor/
 	$(GO) test -fuzz FuzzMachineReleases -fuzztime 30s ./internal/machine/
+	$(GO) test -fuzz FuzzFairShareTree -fuzztime 30s ./internal/fairshare/
 
 # Regenerate the paper at full scale (~4 min) and the extension studies.
 paper:

@@ -117,7 +117,7 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	cp.Running = make([]job.Job, len(running))
 	stamps := make([]uint64, len(running))
 	for i, j := range running {
-		rec, ok := s.finishEvents[j.ID]
+		rec, ok := s.finishOf(j)
 		if !ok {
 			return nil, fmt.Errorf("engine: running job %d has no armed finish event", j.ID)
 		}

@@ -43,7 +43,10 @@ type Simulator struct {
 	// finished slice — the streaming pipeline's O(active jobs) path.
 	retire func(*job.Job)
 
-	finishEvents map[int]finishRec // running job ID -> finish event
+	// finishes registers each running job's armed finish event at the
+	// job's finishSlot; freeFinish lists the vacated entries for reuse.
+	finishes   []finishRec
+	freeFinish []int
 	// finishBatch chains completion events that target one instant into a
 	// single kernel heap slot (see scheduleFinish).
 	finishBatch sim.Batch
@@ -97,8 +100,9 @@ type Simulator struct {
 }
 
 // finishRec is a running job's armed finish event plus its scheduling
-// stamp (see stampGen).
+// stamp (see stampGen). A vacant entry has a nil job.
 type finishRec struct {
+	j     *job.Job
 	h     sim.Handle
 	stamp uint64
 }
@@ -150,15 +154,14 @@ type Stats struct {
 // New builds a simulator for the machine configuration and policy.
 func New(cfg machine.Config, pol sched.Policy) *Simulator {
 	return &Simulator{
-		eng:          sim.New(),
-		m:            machine.New(cfg),
-		disp:         sched.NewDispatcher(pol),
-		queue:        sched.NewQueue(),
-		finishEvents: make(map[int]finishRec),
-		injectAt:     sim.Infinity,
-		timedPassAt:  sim.Infinity,
-		lastPassAt:   -1,
-		extPasses:    make(map[sim.Time]struct{}),
+		eng:         sim.New(),
+		m:           machine.New(cfg),
+		disp:        sched.NewDispatcher(pol),
+		queue:       sched.NewQueue(),
+		injectAt:    sim.Infinity,
+		timedPassAt: sim.Infinity,
+		lastPassAt:  -1,
+		extPasses:   make(map[sim.Time]struct{}),
 	}
 }
 
@@ -358,8 +361,8 @@ func (s *Simulator) scheduleFinish(j *job.Job) {
 	if !s.finishBatch.Bound() || s.finishBatch.At() != at {
 		s.finishBatch = s.eng.NewBatch(at, prioFinish)
 	}
-	s.finishEvents[j.ID] = finishRec{stamp: s.stampGen, h: s.finishBatch.Add(sim.EventFunc(func(*sim.Engine) {
-		delete(s.finishEvents, j.ID)
+	h := s.finishBatch.Add(sim.EventFunc(func(*sim.Engine) {
+		s.dropFinish(j.FinishSlot())
 		s.m.Finish(s.eng.Now(), j)
 		s.disp.Policy().OnFinish(s.eng.Now(), j)
 		if s.retire != nil {
@@ -378,20 +381,47 @@ func (s *Simulator) scheduleFinish(j *job.Job) {
 			s.tracer.Emit(s.eng.Now(), kind, reason, j.ID, j.CPUs, s.m.Busy(), int64(j.Runtime))
 		}
 		s.requestPass()
-	}))}
+	}))
+	i := len(s.finishes)
+	if n := len(s.freeFinish); n > 0 {
+		i = s.freeFinish[n-1]
+		s.freeFinish = s.freeFinish[:n-1]
+	} else {
+		s.finishes = append(s.finishes, finishRec{})
+	}
+	s.finishes[i] = finishRec{j: j, h: h, stamp: s.stampGen}
+	j.SetFinishSlot(i)
+}
+
+// finishOf returns j's registered finish event, checking by pointer that
+// the entry at j's finishSlot is j's own: a clone, a finished job or a job
+// of another simulator carries a slot that names some other entry or none.
+func (s *Simulator) finishOf(j *job.Job) (*finishRec, bool) {
+	i := j.FinishSlot()
+	if i < 0 || i >= len(s.finishes) || s.finishes[i].j != j {
+		return nil, false
+	}
+	return &s.finishes[i], true
+}
+
+// dropFinish vacates registry entry i for reuse.
+func (s *Simulator) dropFinish(i int) {
+	s.finishes[i] = finishRec{}
+	s.freeFinish = append(s.freeFinish, i)
 }
 
 // Kill aborts a running job at the current instant: its finish event is
 // cancelled and its CPUs are freed immediately. The job ends in the Killed
 // state with no Finish time. Used by preemptive interstitial controllers;
-// killing a job that is not running panics.
+// killing a job that is not running here — a clone of a running job
+// included — panics before anything changes.
 func (s *Simulator) Kill(j *job.Job) {
-	rec, ok := s.finishEvents[j.ID]
+	rec, ok := s.finishOf(j)
 	if !ok {
 		panic(fmt.Sprintf("engine: killing job %d that has no pending finish", j.ID))
 	}
 	rec.h.Cancel()
-	delete(s.finishEvents, j.ID)
+	s.dropFinish(j.FinishSlot())
 	s.stats.Kills++
 	s.m.Release(s.eng.Now(), j)
 	s.dirty = true

@@ -226,6 +226,9 @@ func TestKillReleasesCPUs(t *testing.T) {
 	if ij.State != job.Killed {
 		t.Fatalf("state = %v", ij.State)
 	}
+	if !mustPanic(func() { s.Kill(ij) }) || s.Stats().Kills != 1 {
+		t.Fatalf("killing the killed job again: want a panic and 1 kill, got %d kills", s.Stats().Kills)
+	}
 	s.Run()
 	// The cancelled finish event must not fire: the job stays Killed and
 	// is not in the finished list.
@@ -264,6 +267,69 @@ func TestKillUnknownPanics(t *testing.T) {
 		}
 	}()
 	s.Kill(job.New(9, "u", "g", 1, 10, 10, 0))
+}
+
+// mustPanic runs fn and reports whether it panicked.
+func mustPanic(fn func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	fn()
+	return false
+}
+
+// TestKillCloneChangesNothing kills a clone of a running job. The clone
+// carries the original's finish slot, so the registry's pointer check
+// must refuse it before anything moves: the original keeps its CPUs and
+// its finish event, finishes on time, and the run stays checkpointable.
+func TestKillCloneChangesNothing(t *testing.T) {
+	s := New(cfg(10), sched.NewFCFS())
+	a := job.NewInterstitial(5, 4, 100, 0)
+	s.StartDirect(a)
+	s.RunUntil(50)
+	if !mustPanic(func() { s.Kill(a.Clone()) }) {
+		t.Fatal("killing a clone of a running job did not panic")
+	}
+	if busy := s.Machine().Busy(); busy != 4 || a.State != job.Running || s.Stats().Kills != 0 {
+		t.Fatalf("after the refused kill: busy %d, state %v, kills %d; want 4, running, 0", busy, a.State, s.Stats().Kills)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the refused kill: %v", err)
+	}
+	s.Run()
+	if a.State != job.Finished || a.Finish != 100 || len(s.Finished()) != 1 || s.Machine().Busy() != 0 {
+		t.Fatalf("original after the run: state %v finish %d, %d finished, busy %d; want finished at 100, 1, 0",
+			a.State, a.Finish, len(s.Finished()), s.Machine().Busy())
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKillAfterFinishPanics kills a job that already finished, once while
+// its finish slot is vacant and once after a later job reused the slot:
+// both panic, and the later job runs on untouched.
+func TestKillAfterFinishPanics(t *testing.T) {
+	s := New(cfg(10), sched.NewFCFS())
+	a := job.NewInterstitial(5, 4, 100, 0)
+	s.StartDirect(a)
+	s.RunUntil(200)
+	if !mustPanic(func() { s.Kill(a) }) {
+		t.Fatal("killing a finished job did not panic")
+	}
+	b := job.NewInterstitial(6, 6, 100, 0)
+	s.StartDirect(b)
+	if b.FinishSlot() != a.FinishSlot() {
+		t.Fatalf("b took finish slot %d, not a's vacated %d", b.FinishSlot(), a.FinishSlot())
+	}
+	if !mustPanic(func() { s.Kill(a) }) {
+		t.Fatal("killing a finished job whose slot was reused did not panic")
+	}
+	if s.Stats().Kills != 0 || a.State != job.Finished || b.State != job.Running || s.Machine().Busy() != 6 {
+		t.Fatalf("after the refused kills: kills %d, a %v, b %v, busy %d", s.Stats().Kills, a.State, b.State, s.Machine().Busy())
+	}
+	s.Run()
+	if b.State != job.Finished || b.Finish != 300 || len(s.Finished()) != 2 {
+		t.Fatalf("b after the run: state %v finish %d, %d finished; want finished at 300, 2", b.State, b.Finish, len(s.Finished()))
+	}
 }
 
 func TestAccessorsAndSubmitNow(t *testing.T) {

@@ -60,8 +60,8 @@ type Tree struct {
 	// are divided by that factor before storing. rebase() keeps the
 	// stored magnitudes in floating-point-safe range.
 	ref    sim.Time
-	users  map[string]float64
-	groups map[string]float64
+	users  accounts
+	groups accounts
 	total  float64
 	// epoch counts the Charge calls that moved stored values: nonzero
 	// charges and rebases. Because Priority is a ratio of stored values
@@ -69,6 +69,78 @@ type Tree struct {
 	// lets schedulers skip re-sorting a queue whose priorities provably
 	// have not moved.
 	epoch uint64
+}
+
+// accounts holds one level's stored usage by dense account number. Jobs
+// cache their numbers (job.FairShareSlots), so the per-job paths — every
+// queued job's Priority, every start's and finish's Charge — read and
+// write slices; the name index is consulted only when a job's cached
+// number does not name its account here. An account can exist without
+// having been charged (Priority numbers the accounts it reads); only
+// charged ones appear in State, so the snapshot's key set is exactly
+// the accounts Charge or SetState touched.
+type accounts struct {
+	names   []string
+	usage   []float64
+	charged []bool
+	index   map[string]int32
+	// last is the account the name index last resolved. Fresh jobs come
+	// in runs of one account — every interstitial fill is charged to the
+	// same one — so checking it spares most first-sight lookups.
+	last int32
+}
+
+// slot returns the number of account name, trusting cached or last only
+// when it names that account, and numbering a new account on first sight.
+func (a *accounts) slot(name string, cached int32) int32 {
+	if uint32(cached) < uint32(len(a.names)) && a.names[cached] == name {
+		return cached
+	}
+	if uint32(a.last) < uint32(len(a.names)) && a.names[a.last] == name {
+		return a.last
+	}
+	i, ok := a.index[name]
+	if !ok {
+		if a.index == nil {
+			a.index = make(map[string]int32)
+		}
+		i = int32(len(a.names))
+		a.index[name] = i
+		a.names = append(a.names, name)
+		a.usage = append(a.usage, 0)
+		a.charged = append(a.charged, false)
+	}
+	a.last = i
+	return i
+}
+
+// get reports name's stored usage; an unknown account holds 0.
+func (a *accounts) get(name string) float64 {
+	if i, ok := a.index[name]; ok {
+		return a.usage[i]
+	}
+	return 0
+}
+
+// snapshot copies the charged accounts into a fresh map.
+func (a *accounts) snapshot() map[string]float64 {
+	m := make(map[string]float64, len(a.names))
+	for i, c := range a.charged {
+		if c {
+			m[a.names[i]] = a.usage[i]
+		}
+	}
+	return m
+}
+
+// restore replaces every account with the snapshot's, all charged.
+func (a *accounts) restore(m map[string]float64) {
+	*a = accounts{}
+	for name, v := range m {
+		i := a.slot(name, -1)
+		a.usage[i] = v
+		a.charged[i] = true
+	}
 }
 
 // DefaultHalfLife is a one-week usage decay, typical of production
@@ -80,12 +152,7 @@ func New(level Level, halfLife sim.Time) *Tree {
 	if halfLife <= 0 {
 		halfLife = DefaultHalfLife
 	}
-	return &Tree{
-		level:    level,
-		halfLife: halfLife,
-		users:    make(map[string]float64),
-		groups:   make(map[string]float64),
-	}
+	return &Tree{level: level, halfLife: halfLife}
 }
 
 // Level reports the attribution level.
@@ -104,11 +171,11 @@ func (t *Tree) factorAt(now sim.Time) float64 {
 // ~50 half-lives of simulated time.
 func (t *Tree) rebase(now sim.Time) {
 	f := t.factorAt(now)
-	for k, v := range t.users {
-		t.users[k] = v * f
+	for i := range t.users.usage {
+		t.users.usage[i] *= f
 	}
-	for k, v := range t.groups {
-		t.groups[k] = v * f
+	for i := range t.groups.usage {
+		t.groups.usage[i] *= f
 	}
 	t.total *= f
 	t.ref = now
@@ -116,16 +183,27 @@ func (t *Tree) rebase(now sim.Time) {
 
 // Charge records cpuSeconds of usage for the job's user and group at time
 // now. Negative charges (corrections when a job finishes early) are
-// clamped so no account goes below zero.
+// clamped so no account goes below zero. A zero charge that does not
+// rebase — the finish of every job whose runtime matched its estimate,
+// interstitial fills included — only marks both accounts charged: adding
+// a zero delta leaves every stored value as it was.
 func (t *Tree) Charge(now sim.Time, j *job.Job, cpuSeconds float64) {
+	us, gs := j.FairShareSlots()
+	us, gs = t.users.slot(j.User, us), t.groups.slot(j.Group, gs)
+	j.SetFairShareSlots(us, gs)
+	t.users.charged[us] = true
+	t.groups.charged[gs] = true
 	rebased := now > t.ref && float64(now-t.ref) > 50*float64(t.halfLife)
+	if cpuSeconds == 0 && !rebased {
+		return
+	}
 	if rebased {
 		t.rebase(now)
 	}
 	f := t.factorAt(now)
 	delta := cpuSeconds / f
-	t.users[j.User] = clampNonNeg(t.users[j.User] + delta)
-	t.groups[j.Group] = clampNonNeg(t.groups[j.Group] + delta)
+	t.users.usage[us] = clampNonNeg(t.users.usage[us] + delta)
+	t.groups.usage[gs] = clampNonNeg(t.groups.usage[gs] + delta)
 	t.total = clampNonNeg(t.total + delta)
 	if delta != 0 || rebased {
 		t.epoch++
@@ -156,22 +234,16 @@ type State struct {
 	Epoch  uint64             `json:"epoch"`
 }
 
-// State snapshots the accounting (maps are deep-copied).
+// State snapshots the accounting (maps are deep-copied). It holds every
+// account ever charged, even by zero, and no other.
 func (t *Tree) State() State {
-	st := State{
+	return State{
 		Ref:    t.ref,
-		Users:  make(map[string]float64, len(t.users)),
-		Groups: make(map[string]float64, len(t.groups)),
+		Users:  t.users.snapshot(),
+		Groups: t.groups.snapshot(),
 		Total:  t.total,
 		Epoch:  t.epoch,
 	}
-	for k, v := range t.users {
-		st.Users[k] = v
-	}
-	for k, v := range t.groups {
-		st.Groups[k] = v
-	}
-	return st
 }
 
 // SetState replaces the accounting with a snapshot (maps are
@@ -180,24 +252,18 @@ func (t *Tree) SetState(st State) {
 	t.ref = st.Ref
 	t.total = st.Total
 	t.epoch = st.Epoch
-	t.users = make(map[string]float64, len(st.Users))
-	t.groups = make(map[string]float64, len(st.Groups))
-	for k, v := range st.Users {
-		t.users[k] = v
-	}
-	for k, v := range st.Groups {
-		t.groups[k] = v
-	}
+	t.users.restore(st.Users)
+	t.groups.restore(st.Groups)
 }
 
 // UserUsage reports the decayed usage of a user at time now.
 func (t *Tree) UserUsage(now sim.Time, user string) float64 {
-	return t.users[user] * t.factorAt(now)
+	return t.users.get(user) * t.factorAt(now)
 }
 
 // GroupUsage reports the decayed usage of a group at time now.
 func (t *Tree) GroupUsage(now sim.Time, group string) float64 {
-	return t.groups[group] * t.factorAt(now)
+	return t.groups.get(group) * t.factorAt(now)
 }
 
 // Priority computes the fair-share dispatch priority for j at time now.
@@ -205,7 +271,7 @@ func (t *Tree) GroupUsage(now sim.Time, group string) float64 {
 // account scores 0 and usage pushes the score negative in units of "share
 // of total decayed usage". Flat trees always return 0 so ordering falls
 // back to submit time. (Shares are ratios, so the decay factor cancels
-// and no map sweep is needed.)
+// and no sweep over the accounts is needed.)
 func (t *Tree) Priority(now sim.Time, j *job.Job) float64 {
 	if t.level == Flat {
 		return 0
@@ -213,12 +279,15 @@ func (t *Tree) Priority(now sim.Time, j *job.Job) float64 {
 	if t.total <= 0 {
 		return 0
 	}
-	g := t.groups[j.Group] / t.total
-	switch t.level {
-	case GroupLevel:
+	us, gs := j.FairShareSlots()
+	gs = t.groups.slot(j.Group, gs)
+	g := t.groups.usage[gs] / t.total
+	if t.level == GroupLevel {
+		j.SetFairShareSlots(us, gs)
 		return -g
-	default: // UserAndGroup
-		u := t.users[j.User] / t.total
-		return -(u + g) / 2
 	}
+	us = t.users.slot(j.User, us)
+	j.SetFairShareSlots(us, gs)
+	u := t.users.usage[us] / t.total
+	return -(u + g) / 2
 }

@@ -136,12 +136,15 @@ type shard struct {
 	// buf collects the epoch's retired records (engine retire hook, shard
 	// goroutine); the fleet drains it at the merge barrier.
 	buf []*job.Job
-	// grantTimes is the FIFO of grant instants for unit-latency tracking:
+	// grants is the FIFO of grant instants for unit-latency tracking:
 	// pushed per granted unit, moved tail-first on steals, popped per
 	// interstitial retirement. Approximate when faults evict units into
 	// continuations (a continuation pops nothing if its unit already
-	// popped — the FIFO guard below keeps it safe).
-	grantTimes []sim.Time
+	// popped — pop reports an empty FIFO).
+	grants grantFIFO
+	// wake marks the shard for a barrier-instant pass: route sets it when
+	// the shard's entitlement grows.
+	wake bool
 
 	st ShardStats
 }
@@ -414,9 +417,8 @@ func (f *Fleet) merge() {
 				sh.st.InterstDone++
 				f.stats.InterstDone++
 				sh.st.InterstCPUSeconds += float64(j.CPUs) * float64(j.Runtime)
-				if len(sh.grantTimes) > 0 {
-					f.unitLat.Add(float64(j.Finish - sh.grantTimes[0]))
-					sh.grantTimes = sh.grantTimes[1:]
+				if t, ok := sh.grants.pop(); ok {
+					f.unitLat.Add(float64(j.Finish - t))
 				}
 			}
 		}
@@ -430,6 +432,72 @@ func (f *Fleet) merge() {
 		}
 		sh.buf = sh.buf[:0]
 	}
+}
+
+// grantFIFO holds grant instants, oldest first, as runs of grants made
+// at one instant. A barrier grants each shard its units at one instant,
+// so a shard's backlog of thousands of unstarted units takes as many runs
+// as barriers it spans, where one entry per unit kept ~1.55M instants
+// (12 MB) live at the end of a 64-shard fleet run. runs[head:] are live;
+// the popped runs' storage is reused once they pass half the slice, as
+// profile.Pack's FIFO does.
+type grantFIFO struct {
+	runs []grantRun
+	head int
+}
+
+// grantRun is n grants made at instant at.
+type grantRun struct {
+	at sim.Time
+	n  int
+}
+
+// push appends n grants made at t.
+func (q *grantFIFO) push(t sim.Time, n int) {
+	if k := len(q.runs); k > q.head && q.runs[k-1].at == t {
+		q.runs[k-1].n += n
+		return
+	}
+	q.runs = append(q.runs, grantRun{at: t, n: n})
+}
+
+// pop takes the oldest grant instant off the FIFO.
+func (q *grantFIFO) pop() (sim.Time, bool) {
+	if q.head == len(q.runs) {
+		return 0, false
+	}
+	r := &q.runs[q.head]
+	t := r.at
+	if r.n--; r.n == 0 {
+		q.head++
+		if q.head > len(q.runs)/2 {
+			q.runs, q.head = q.runs[:copy(q.runs, q.runs[q.head:])], 0
+		}
+	}
+	return t, true
+}
+
+// moveNewest moves the newest m grants (all of them, if fewer) to the
+// tail of to, oldest of them first.
+func (q *grantFIFO) moveNewest(m int, to *grantFIFO) {
+	i := len(q.runs)
+	for i > q.head && m > 0 {
+		i--
+		m -= q.runs[i].n
+	}
+	keep := max(-m, 0) // the oldest grants of run i stay
+	for k := i; k < len(q.runs); k++ {
+		n := q.runs[k].n
+		if k == i {
+			n -= keep
+		}
+		to.push(q.runs[k].at, n)
+	}
+	if keep > 0 {
+		q.runs[i].n = keep
+		i++
+	}
+	q.runs = q.runs[:i]
 }
 
 // refreshView rebuilds the routing view over the shards whose submission
@@ -465,7 +533,6 @@ func (f *Fleet) route(t sim.Time) {
 	for i, s := range f.view.Shards {
 		viewPos[s.Index] = i
 	}
-	touched := make(map[int]bool)
 	if st, ok := f.pol.(Stealer); ok {
 		for _, s := range st.Steals(&f.view, f.r) {
 			if s.From == s.To || s.Units <= 0 || s.From < 0 || s.From >= len(f.shards) || s.To < 0 || s.To >= len(f.shards) {
@@ -485,7 +552,7 @@ func (f *Fleet) route(t sim.Time) {
 			to.st.StolenIn += int64(units)
 			f.stats.Steals++
 			f.stats.StolenUnits += int64(units)
-			touched[to.idx] = true
+			to.wake = true
 			// Keep the view consistent for the grant loop that follows.
 			if i, ok := viewPos[s.From]; ok {
 				f.view.Shards[i].Backlog -= units
@@ -495,14 +562,7 @@ func (f *Fleet) route(t sim.Time) {
 			}
 			// The moved entitlement's latency clock moves with it: the
 			// victim's most recent grants become the thief's newest.
-			if k := len(from.grantTimes); k > 0 {
-				m := units
-				if m > k {
-					m = k
-				}
-				to.grantTimes = append(to.grantTimes, from.grantTimes[k-m:]...)
-				from.grantTimes = from.grantTimes[:k-m]
-			}
+			from.grants.moveNewest(units, &to.grants)
 			if f.cfg.Tracer != nil {
 				f.cfg.Tracer.Emit(t, tracing.KindSteal, tracing.ReasonStolen,
 					s.From, units, tracing.NoBusy, int64(s.To))
@@ -534,10 +594,10 @@ func (f *Fleet) route(t sim.Time) {
 		sh := f.shards[f.view.Shards[p].Index]
 		sh.ctrl.Limit++
 		sh.st.Granted++
-		sh.grantTimes = append(sh.grantTimes, t)
+		sh.grants.push(t, 1)
 		f.stats.Units++
 		f.unitSeq++
-		touched[sh.idx] = true
+		sh.wake = true
 		if f.cfg.Tracer != nil {
 			reason := tracing.ReasonRouted
 			if mc != nil && mc.Migrations() > migBefore {
@@ -552,9 +612,10 @@ func (f *Fleet) route(t sim.Time) {
 	// request, so the admission pass actually runs at the barrier instant
 	// instead of being elided or deferred to the next native event.
 	for _, sh := range f.shards {
-		if !touched[sh.idx] {
+		if !sh.wake {
 			continue
 		}
+		sh.wake = false
 		at := t
 		sh.sm.ScheduleAt(at, func(s *engine.Simulator) { s.RequestPassAt(at) })
 	}
@@ -656,14 +717,29 @@ func (d *Digest64) Fold(shard int, j *job.Job) {
 		uint64(int64(j.Estimate)), uint64(j.Class), uint64(j.State))
 }
 
+// fnvPow64[k] is fnvPrime64^k: folding k zero bytes. Xoring a zero byte
+// leaves the hash as it is, so a run of them is k multiplies by the prime.
+var fnvPow64 = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime64
+	}
+	return p
+}()
+
+// fold mixes each word's 8 bytes, least significant first, exactly as
+// byte-wise FNV-1a would, but folds the run of zero high bytes that most
+// fields have (small counts, times, enums) as one multiply.
 func (d *Digest64) fold(ws ...uint64) {
 	h := uint64(*d)
 	for _, w := range ws {
-		for i := 0; i < 8; i++ {
+		n := 0
+		for ; w != 0; n++ {
 			h ^= w & 0xff
 			h *= fnvPrime64
 			w >>= 8
 		}
+		h *= fnvPow64[8-n]
 	}
 	*d = Digest64(h)
 }

@@ -83,6 +83,12 @@ type Job struct {
 	Group string
 	// Class is Native or Interstitial.
 	Class Class
+	// userSlot and groupSlot cache the job's account numbers in the last
+	// fair-share tree that ordered or charged it. The tree checks each
+	// against the name it stores at that number before use, so a slot
+	// from another tree, a clone or a restored record simply re-resolves.
+	// They sit in padding: the record stays 128 bytes.
+	userSlot int32
 
 	// CPUs is the fixed processor count the job needs; it must be >= 1.
 	CPUs int
@@ -105,6 +111,8 @@ type Job struct {
 
 	// State is the current lifecycle state.
 	State State
+	// groupSlot pairs with userSlot, in the padding after State.
+	groupSlot int32
 
 	// Priority is the scheduler-assigned dispatch priority (higher runs
 	// first). It is recomputed by fair-share policies on every pass.
@@ -115,16 +123,37 @@ type Job struct {
 	// meaningless in every other state. Storing it on the job replaces a
 	// per-machine ID->index map — and its per-start/per-finish hashing —
 	// with a plain field access on the simulator's hottest paths.
-	machineSlot int
+	machineSlot int32
+	// finishSlot is the job's entry in its simulator's finish-event
+	// registry while it runs; the simulator checks the entry's job by
+	// pointer before use, as machine does with machineSlot.
+	finishSlot int32
 }
 
 // MachineSlot returns the running-set index maintained by
 // machine.Machine; see SetMachineSlot. Only meaningful while Running.
-func (j *Job) MachineSlot() int { return j.machineSlot }
+func (j *Job) MachineSlot() int { return int(j.machineSlot) }
 
 // SetMachineSlot records the job's position in its machine's running set.
 // Only machine.Machine should call this.
-func (j *Job) SetMachineSlot(i int) { j.machineSlot = i }
+func (j *Job) SetMachineSlot(i int) { j.machineSlot = int32(i) }
+
+// FinishSlot returns the finish-event registry entry recorded by
+// SetFinishSlot. Only meaningful while Running.
+func (j *Job) FinishSlot() int { return int(j.finishSlot) }
+
+// SetFinishSlot records the job's entry in its simulator's finish-event
+// registry. Only engine.Simulator should call this.
+func (j *Job) SetFinishSlot(i int) { j.finishSlot = int32(i) }
+
+// FairShareSlots returns the user and group account numbers cached by
+// SetFairShareSlots. They are hints: a fair-share tree verifies each
+// against its own account names before trusting it.
+func (j *Job) FairShareSlots() (user, group int32) { return j.userSlot, j.groupSlot }
+
+// SetFairShareSlots caches the job's account numbers in a fair-share
+// tree. Only fairshare.Tree should call this.
+func (j *Job) SetFairShareSlots(user, group int32) { j.userSlot, j.groupSlot = user, group }
 
 // New returns a Created native job with Start/Finish unset.
 func New(id int, user, group string, cpus int, runtime, estimate, submit sim.Time) *Job {

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -90,7 +91,9 @@ func (forceDynamic) Ordering() Ordering { return OrderingDynamic }
 // CPUs between passes, started directly on the machine as the controller
 // does; their finishes charge exactly 0 (Estimate == Runtime), so under
 // the epoch class the passes after them must take the merge path and
-// still match the twin.
+// still match the twin. Under the epoch class the run must also see both
+// outcomes of an epoch change: a standing order that survived the
+// re-prioritization, and one that needed the sort.
 func TestIncrementalOrderingMatchesDynamic(t *testing.T) {
 	mk := []struct {
 		name string
@@ -186,8 +189,16 @@ func TestIncrementalOrderingMatchesDynamic(t *testing.T) {
 					id++
 				}
 			}
-			if fast.policy.Ordering() == OrderingEpoch && zeroMerges == 0 {
-				t.Fatal("no pass after an interstitial finish took the merge path")
+			if fast.policy.Ordering() == OrderingEpoch {
+				if zeroMerges == 0 {
+					t.Fatal("no pass after an interstitial finish took the merge path")
+				}
+				// Both branches of an epoch change must have been
+				// exercised against the twin: a re-prioritized order that
+				// still stood (arrivals merged) and one that had moved.
+				if fast.ordersKept == 0 || fast.ordersSorted == 0 {
+					t.Fatalf("epoch changes: %d kept the order, %d re-sorted; want both > 0", fast.ordersKept, fast.ordersSorted)
+				}
 			}
 		})
 	}
@@ -246,4 +257,30 @@ func BenchmarkSchedulePass(b *testing.B) {
 
 func mkMachineN(name string, cpus int) *machine.Machine {
 	return machine.New(machine.Config{Name: name, CPUs: cpus, ClockGHz: 1})
+}
+
+// BenchmarkFairShareReorder measures one epoch-change reorder: a nonzero
+// charge lands, and the dispatcher re-prioritizes a 24-job queue (the
+// mean depth a stream-250k pass sees) spread over 8 groups, then keeps or
+// re-sorts the standing order. Charges rotate through the groups.
+func BenchmarkFairShareReorder(b *testing.B) {
+	pol := NewLSF().(*fairSharePolicy)
+	d := NewDispatcher(pol)
+	q := NewQueue()
+	rng := rand.New(rand.NewSource(1))
+	groups := make([]*job.Job, 8)
+	for g := range groups {
+		groups[g] = job.New(-1-g, "u", fmt.Sprintf("g%d", g), 1, 1, 1, 0)
+		pol.tree.Charge(0, groups[g], float64(rng.Intn(1e6)+1))
+	}
+	for id := 1; id <= 24; id++ {
+		q.Push(job.New(id, fmt.Sprintf("u%d", id%5), groups[id%8].Group, 1, 10, 10, sim.Time(rng.Intn(1000))))
+	}
+	d.order(0, q)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pol.tree.Charge(0, groups[i%8], 5000)
+		d.order(0, q)
+	}
 }

@@ -27,6 +27,10 @@ type Dispatcher struct {
 	// order was computed under (OrderingEpoch policies only).
 	orderEpoch uint64
 	orderValid bool
+	// ordersKept and ordersSorted count the epoch changes whose
+	// re-prioritized standing order was still in order (arrivals merged)
+	// and those that needed a full sort.
+	ordersKept, ordersSorted uint64
 }
 
 // NewDispatcher wraps a policy.
@@ -110,7 +114,8 @@ func (d *Dispatcher) traceStart(now sim.Time, m *machine.Machine, j *job.Job, ki
 // policy's Ordering class requires. The dispatch key is a total order, so
 // the incremental paths (prioritize arrivals + merge) produce the exact
 // sequence a full reprioritize + sort would — they just skip re-deriving
-// priorities that provably have not moved.
+// priorities that provably have not moved, or a sort that provably would
+// not move the standing order.
 func (d *Dispatcher) order(now sim.Time, q *Queue) {
 	switch d.policy.Ordering() {
 	case OrderingStatic:
@@ -130,7 +135,18 @@ func (d *Dispatcher) order(now sim.Time, q *Queue) {
 		for _, j := range q.Jobs() {
 			d.policy.Prioritize(now, j)
 		}
-		q.Sort()
+		// A charge often leaves the standing order as it was: the
+		// charged account's jobs sink, but not past anyone. If the
+		// re-prioritized prefix is still strictly ascending it is the
+		// unique sorted order of its jobs, and merging the arrivals
+		// lands the sequence a full sort would.
+		if q.orderedInOrder() {
+			q.MergeUnordered()
+			d.ordersKept++
+		} else {
+			q.Sort()
+			d.ordersSorted++
+		}
 		d.orderEpoch = epoch
 		d.orderValid = true
 	default: // OrderingDynamic: re-derive everything, every pass.
@@ -197,8 +213,8 @@ func (d *Dispatcher) Schedule(now sim.Time, m *machine.Machine, q *Queue) PassRe
 			// touching the head reservation.
 			for i := 1; i < q.Len(); {
 				j := q.At(i)
-				if d.policy.EarliestAllowed(now, j) == now &&
-					m.CanStart(j.CPUs) &&
+				if m.CanStart(j.CPUs) &&
+					d.policy.EarliestAllowed(now, j) == now &&
 					p.MinFree(now, now+planningDuration(j)) >= j.CPUs {
 					d.start(now, m, p, q.Remove(i))
 					d.traceStart(now, m, j, tracing.KindBackfill, tracing.ReasonEASYBackfill)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -91,32 +92,46 @@ func (q *Queue) Restore(jobs []*job.Job, ordered int) {
 // callers assign their priorities before MergeUnordered.
 func (q *Queue) Unordered() []*job.Job { return q.jobs[q.ordered:] }
 
-// dispatchBefore reports whether a precedes b in dispatch order:
-// (priority desc, submit asc, ID asc).
-func dispatchBefore(a, b *job.Job) bool {
+// dispatchCmp orders a against b by the dispatch key (priority desc,
+// submit asc, ID asc), comparing each field once. Unordered priorities
+// (NaN) compare equal, as neither precedes the other.
+func dispatchCmp(a, b *job.Job) int {
 	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+		switch {
+		case a.Priority > b.Priority:
+			return -1
+		case a.Priority < b.Priority:
+			return 1
+		}
+		return 0
 	}
-	if a.Submit != b.Submit {
-		return a.Submit < b.Submit
+	if c := cmp.Compare(a.Submit, b.Submit); c != 0 {
+		return c
 	}
-	return a.ID < b.ID
+	return cmp.Compare(a.ID, b.ID)
 }
+
+// dispatchBefore reports whether a precedes b in dispatch order.
+func dispatchBefore(a, b *job.Job) bool { return dispatchCmp(a, b) < 0 }
 
 // Sort orders the whole queue by the dispatch key. The key triple is a
 // total order (IDs are unique), so the result is deterministic without
 // needing a stable sort.
 func (q *Queue) Sort() {
-	slices.SortFunc(q.jobs, func(a, b *job.Job) int {
-		if dispatchBefore(a, b) {
-			return -1
-		}
-		if dispatchBefore(b, a) {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(q.jobs, dispatchCmp)
 	q.ordered = len(q.jobs)
+}
+
+// orderedInOrder reports whether the ordered prefix is still strictly
+// ascending by the dispatch key — after a reprioritization, whether a
+// full sort would leave it where it stands.
+func (q *Queue) orderedInOrder() bool {
+	for i := 1; i < q.ordered; i++ {
+		if !dispatchBefore(q.jobs[i-1], q.jobs[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // MergeUnordered inserts each unordered arrival into its dispatch-order
