@@ -102,14 +102,15 @@ examples:
 		echo "=== examples/$$e ==="; $(GO) run ./examples/$$e || exit 1; done
 
 # Smoke the one-file trace pipeline end to end: trace a scaled-down
-# Table 2 regeneration — decision events and the span tree in one file —
-# with a provenance manifest, validate the file (runs, events, AND spans)
-# against the schema, render the tracescope report, then export the same
+# Table 2 and Table 5 regeneration (omniscient packings and project
+# co-simulations) — decision events and the span tree in one file — with
+# a provenance manifest, validate the file (runs, events, AND spans)
+# against the schema, render the tracescope report, then export a Table 2
 # run, and a birminator run, to Perfetto. The trace_demo.* artifacts are
 # gitignored.
 trace-demo:
 	$(GO) run ./cmd/experiments -scale 0.05 -workers 4 -trace trace_demo.jsonl \
-		-manifest trace_demo.manifest.json table2
+		-manifest trace_demo.manifest.json table2 table5
 	$(GO) run ./cmd/tracescope -check trace_demo.jsonl
 	$(GO) run ./cmd/tracescope trace_demo.jsonl
 	grep -q '"digest"' trace_demo.manifest.json

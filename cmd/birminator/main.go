@@ -41,7 +41,7 @@ func main() {
 	machineName := flag.String("machine", "Blue Mountain", `machine: "Ross", "Blue Mountain", or "Blue Pacific"`)
 	replayPath := flag.String("replay", "", "SWF native log to replay (default: synthesize one)")
 	seed := flag.Int64("seed", 1, "seed for synthetic logs")
-	scale := flag.Float64("scale", 1.0, "shrink synthetic log by this factor")
+	scale := flag.Float64("scale", 1.0, "shrink the synthetic log by this factor, as the experiments harness does")
 	iCPUs := flag.Int("interstitial-cpus", 0, "CPUs per interstitial job (0 = native-only run)")
 	iSec := flag.Float64("interstitial-sec1ghz", 120, "interstitial job length in seconds at 1 GHz")
 	utilCap := flag.Float64("utilcap", 0, "suppress interstitial submission above this utilization (0 = unlimited)")
@@ -86,10 +86,7 @@ func main() {
 	case *traceSample > 0 && *tracePath == "":
 		usageError("-trace-sample without -trace")
 	}
-	if *scale < 1 {
-		m.Workload.Days *= *scale
-		m.Workload.Jobs = int(float64(m.Workload.Jobs) * *scale)
-	}
+	m = m.Scaled(*scale)
 
 	var natives []*interstitial.Job
 	if *replayPath != "" {
@@ -215,19 +212,13 @@ func main() {
 
 // report prints the standard metric block for a finished run.
 func report(m interstitial.Machine, natives, inter []*interstitial.Job, horizon interstitial.Time) {
-	all := append(append([]*interstitial.Job{}, natives...), inter...)
-	overall, native := stats.UtilizationByClass(all, m.Workload.Machine.CPUs, 0, horizon)
-	big := stats.LargestByCPUSeconds(natives, 0.05)
-	waits := stats.Summarize(stats.Waits(natives, job.Native))
-	waitsBig := stats.Summarize(stats.Waits(big, job.Native))
-	efs := stats.Summarize(stats.ExpansionFactors(natives, job.Native))
-
+	imp := stats.ImpactOf(natives, inter, m.Workload.Machine.CPUs, horizon)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "overall utilization\t%.3f\n", overall)
-	fmt.Fprintf(tw, "native utilization\t%.3f\n", native)
-	fmt.Fprintf(tw, "native wait median/mean\t%s / %s\n", stats.FormatSeconds(waits.Median), stats.FormatSeconds(waits.Mean))
-	fmt.Fprintf(tw, "5%% largest wait median/mean\t%s / %s\n", stats.FormatSeconds(waitsBig.Median), stats.FormatSeconds(waitsBig.Mean))
-	fmt.Fprintf(tw, "native EF median/mean\t%.2f / %.2f\n", efs.Median, efs.Mean)
+	fmt.Fprintf(tw, "overall utilization\t%.3f\n", imp.OverallUtil)
+	fmt.Fprintf(tw, "native utilization\t%.3f\n", imp.NativeUtil)
+	fmt.Fprintf(tw, "native wait median/mean\t%s / %s\n", stats.FormatSeconds(imp.WaitAll.Median), stats.FormatSeconds(imp.WaitAll.Mean))
+	fmt.Fprintf(tw, "5%% largest wait median/mean\t%s / %s\n", stats.FormatSeconds(imp.WaitBig.Median), stats.FormatSeconds(imp.WaitBig.Mean))
+	fmt.Fprintf(tw, "native EF median/mean\t%.2f / %.2f\n", imp.EFAll.Median, imp.EFAll.Mean)
 	if len(inter) > 0 {
 		iw := stats.Summarize(stats.Waits(inter, job.Interstitial))
 		fmt.Fprintf(tw, "interstitial jobs\t%d\n", len(inter))

@@ -22,7 +22,10 @@
 // byte-identical with or without them.
 //
 // -trace records one trace of the run and writes it to one file on exit:
-// every scheduler decision of every simulation the run performs, and the
+// every scheduler decision of every simulation of a job log the run
+// performs (each baseline and continual run and every experiment's
+// scenarios; federation shards record only the fleet's route and steal
+// events, and scale-stream's streamed runs are not traced), and the
 // run's span tree — the run, each experiment, every fan-out cell, the
 // shared sweeps, and (for the federation study) each fleet's epochs and
 // shard advances. -trace-format picks the file's form: jsonl (the run
@@ -31,7 +34,8 @@
 // chrome://tracing; one process per machine run, then one per span
 // trace), or audit (per-job lifecycle CSV of the decisions; spans have
 // no audit form). -trace-sample N bounds memory on long runs by keeping
-// the first N/2 and last ~N/2 events per run. Span IDs derive from the
+// the first N/2 and last ~N/2 events per run; use it for "extensions",
+// which records 108 runs at -scale 0.05. Span IDs derive from the
 // seed and all instants are logical or simulated time, so the file is
 // byte-identical at any -workers. All of it is observation-only: stdout
 // stays byte-identical.

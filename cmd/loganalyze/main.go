@@ -12,6 +12,9 @@
 // jobs) without materializing it; the two distribution medians are then
 // P² estimates (within a few percent). -fit needs the whole log in
 // memory and switches the synthetic path back to batch generation.
+// -scale resizes the log by the experiments harness's rule
+// (testbed.System.Scaled); a nonpositive -scale is rejected with exit
+// status 2.
 package main
 
 import (
@@ -34,9 +37,14 @@ func main() {
 	cpus := flag.Int("cpus", 0, "machine size for offered-load normalization (0 = use SWF MaxProcs)")
 	machineName := flag.String("machine", "", "analyze a synthetic log for this machine instead of a trace")
 	seed := flag.Int64("seed", 1, "synthetic log seed")
-	scale := flag.Float64("scale", 1.0, "synthetic log scale")
+	scale := flag.Float64("scale", 1.0, "synthetic log scale, applied as the experiments harness does")
 	fit := flag.Bool("fit", false, "also fit a workload.Profile to the log (for synthesizing similar logs)")
 	flag.Parse()
+	if *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "loganalyze: -scale %g must be positive\n", *scale)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var jobs []*interstitial.Job
 	var c stats.Characterization
@@ -65,10 +73,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *scale > 0 && *scale != 1 {
-			m.Workload.Days *= *scale
-			m.Workload.Jobs = int(float64(m.Workload.Jobs) * *scale)
-		}
+		m = m.Scaled(*scale)
 		if n == 0 {
 			n = m.Workload.Machine.CPUs
 		}

@@ -4,6 +4,10 @@
 // Usage:
 //
 //	tracegen -machine "Blue Mountain" [-seed 1] [-scale 1] [-calibrate] [-o log.swf]
+//
+// -scale resizes the log by the experiments harness's rule
+// (testbed.System.Scaled); a nonpositive -scale is rejected with exit
+// status 2.
 package main
 
 import (
@@ -23,7 +27,7 @@ func main() {
 	log.SetPrefix("tracegen: ")
 	machineName := flag.String("machine", "Blue Mountain", `machine profile: "Ross", "Blue Mountain", or "Blue Pacific"`)
 	seed := flag.Int64("seed", 1, "generator seed")
-	scale := flag.Float64("scale", 1.0, "shrink log duration and job count by this factor")
+	scale := flag.Float64("scale", 1.0, "resize log duration and job count by this factor, as the experiments harness does")
 	calibrate := flag.Bool("calibrate", false, "run the calibration loop so simulated utilization matches Table 1 (slower)")
 	out := flag.String("o", "-", "output file (default stdout)")
 	flag.Parse()
@@ -32,10 +36,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *scale > 0 && *scale < 1 {
-		m.Workload.Days *= *scale
-		m.Workload.Jobs = int(float64(m.Workload.Jobs) * *scale)
+	if *scale <= 0 {
+		fmt.Fprintf(os.Stderr, "tracegen: -scale %g must be positive\n", *scale)
+		flag.Usage()
+		os.Exit(2)
 	}
+	m = m.Scaled(*scale)
 
 	var jobs []*interstitial.Job
 	if *calibrate {

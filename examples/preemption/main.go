@@ -14,53 +14,43 @@ import (
 	"text/tabwriter"
 
 	"interstitial"
-	"interstitial/internal/core"
-	"interstitial/internal/engine"
 	"interstitial/internal/job"
-	"interstitial/internal/testbed"
 	"interstitial/internal/workload"
 )
 
 func main() {
-	sys := testbed.BlueMountain()
+	sys := interstitial.BlueMountain()
 	sys.Workload.Days /= 8
 	sys.Workload.Jobs /= 8
 	logJobs := workload.MustGenerate(sys.Workload, 21)
 
 	// Long interstitial jobs (960 s@1GHz = ~1h wallclock) make the
 	// non-preemptive damage visible.
-	spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(960)}
+	spec := interstitial.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(960)}
 	fmt.Printf("%s, continual %d-CPU × %ds interstitial jobs\n\n", sys.Name, spec.CPUs, spec.Runtime)
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "mode\tkills\twasted CPU·h\tharvested CPU·h\tnative median wait (s)")
 	for _, v := range []struct {
 		label string
-		pre   *core.Preemption
+		pre   *interstitial.Preemption
 	}{
 		{"non-preemptive (paper)", nil},
-		{"preempt, no checkpoint", &core.Preemption{}},
-		{"preempt, checkpoint 60s", &core.Preemption{CheckpointEvery: 60}},
+		{"preempt, no checkpoint", &interstitial.Preemption{}},
+		{"preempt, checkpoint 60s", &interstitial.Preemption{CheckpointEvery: 60}},
 	} {
-		natives := job.CloneAll(logJobs)
-		sm := engine.New(sys.Workload.Machine, sys.NewPolicy())
-		sm.Submit(natives...)
-		ctrl := core.NewController(spec)
-		ctrl.StopAt = sys.Workload.Duration()
-		ctrl.Preempt = v.pre
-		if err := ctrl.Attach(sm); err != nil {
-			panic(err)
+		res, err := interstitial.RunContinualOpts(sys, logJobs, spec, interstitial.ContinualOpts{Preempt: v.pre})
+		if err != nil {
+			log.Fatal(err)
 		}
-		sm.Run()
-
 		var harvested float64
-		for _, j := range ctrl.Jobs {
+		for _, j := range res.Jobs {
 			if j.State == job.Finished {
 				harvested += j.CPUSeconds()
 			}
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%.0f\n",
-			v.label, ctrl.KilledJobs, ctrl.WastedCPUSeconds/3600, harvested/3600, medianWait(natives))
+			v.label, res.KilledJobs, res.WastedCPUSeconds/3600, harvested/3600, medianWait(res.Natives))
 	}
 	if err := tw.Flush(); err != nil {
 		log.Fatal(err)

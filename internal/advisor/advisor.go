@@ -211,7 +211,7 @@ func asErr(v any) error {
 
 // PlanDegraded computes the cheap fallback plan on a degradedScale log,
 // directly under ctx — this is where a per-request deadline propagates
-// into the simulation stack (CalibratedLogCtx / RunNativeCtx abort within
+// into the simulation stack (CalibratedLogCtx / RunNative abort within
 // ~4096 kernel events of cancellation). It bypasses the labs entirely so
 // an expiring request can never poison a shared memoized artifact.
 func (c *Core) PlanDegraded(ctx context.Context, req Request) (*Plan, error) {
@@ -224,7 +224,7 @@ func (c *Core) PlanDegraded(ctx context.Context, req Request) (*Plan, error) {
 		return nil, err
 	}
 	ran := job.CloneAll(log)
-	_, util, err := sys.RunNativeCtx(ctx, ran)
+	_, util, err := sys.RunNative(ctx, ran, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -56,44 +56,40 @@ func (r *AblationResult) Render(w io.Writer) error {
 	return tw.Flush()
 }
 
-// runScenario co-simulates a continual interstitial run on an explicit
-// system/log/policy and summarizes it as an ablation row.
-func runScenario(l *Lab, label string, sys testbed.System, log []*job.Job, spec core.JobSpec, capUtil float64) ablationRow {
+// runScenario co-simulates log on sys, traced as label, with a continual
+// controller for spec stopped at the horizon, capped at capUtil (0: no
+// cap) and preempting under pre (nil: the paper's jobs), or natives only
+// when spec.CPUs is 0. It returns the run's ablation row, whose harvest
+// is net of the work kills wasted, and the controller (nil if none).
+func runScenario(l *Lab, label string, sys testbed.System, log []*job.Job, spec core.JobSpec, capUtil float64, pre *core.Preemption) (ablationRow, *core.Controller) {
 	natives := job.CloneAll(log)
-	sm := l.newSim(sys)
-	sm.Submit(natives...)
 	horizon := sys.Workload.Duration()
-	var inter []*job.Job
-	if spec.CPUs > 0 {
-		ctrl := core.NewController(spec)
-		ctrl.StopAt = horizon
-		ctrl.UtilCap = capUtil
-		mustAttach(ctrl, sm)
-		sm.Run()
-		inter = ctrl.Jobs
-	} else {
-		sm.Run()
+	if spec.CPUs == 0 {
+		l.run(sys, natives, l.scenarioTracer(label, sys))
+		return ablationRowOf(label, 0, stats.ImpactOf(natives, nil, sys.Workload.Machine.CPUs, horizon)), nil
 	}
-	l.observeSim(sm)
-	all := append(append([]*job.Job{}, natives...), inter...)
-	overall, native := stats.UtilizationByClass(all, sys.Workload.Machine.CPUs, 0, horizon)
-	waits := stats.Summarize(stats.Waits(natives, job.Native))
-	big := stats.LargestByCPUSeconds(natives, 0.05)
-	var harvested float64
-	for _, j := range inter {
-		if j.Finish >= 0 && j.Finish <= horizon {
-			harvested += j.CPUSeconds()
-		}
-	}
+	ctrl := core.NewController(spec)
+	ctrl.StopAt = horizon
+	ctrl.UtilCap = capUtil
+	ctrl.Preempt = pre
+	l.run(sys, natives, l.scenarioTracer(label, sys), ctrl.Attach)
+	imp := stats.ImpactOf(natives, ctrl.Jobs, sys.Workload.Machine.CPUs, horizon)
+	row := ablationRowOf(label, len(ctrl.Jobs), imp)
+	row.HarvestedCPUh = (imp.Harvested - ctrl.WastedCPUSeconds) / 3600
+	return row, ctrl
+}
+
+// ablationRowOf condenses a co-simulation's native impact into a row.
+func ablationRowOf(label string, interstitialJobs int, imp stats.Impact) ablationRow {
 	return ablationRow{
 		Label:            label,
-		InterstitialJobs: len(inter),
-		HarvestedCPUh:    harvested / 3600,
-		OverallUtil:      overall,
-		NativeUtil:       native,
-		NativeMedianWait: waits.Median,
-		NativeMeanWait:   waits.Mean,
-		BigMedianWait:    stats.Summarize(stats.Waits(big, job.Native)).Median,
+		InterstitialJobs: interstitialJobs,
+		HarvestedCPUh:    imp.Harvested / 3600,
+		OverallUtil:      imp.OverallUtil,
+		NativeUtil:       imp.NativeUtil,
+		NativeMedianWait: imp.WaitAll.Median,
+		NativeMeanWait:   imp.WaitAll.Mean,
+		BigMedianWait:    imp.WaitBig.Median,
 	}
 }
 
@@ -125,7 +121,7 @@ func AblationEstimates(l *Lab) *AblationResult {
 				v.mut(j)
 			}
 		}
-		res.Rows[i] = runScenario(l, v.label, b.sys, log, spec, 0)
+		res.Rows[i], _ = runScenario(l, v.label, b.sys, log, spec, 0, nil)
 	})
 	return res
 }
@@ -156,9 +152,9 @@ func AblationBackfill(l *Lab) *AblationResult {
 		sys := b.sys
 		sys.NewPolicy = v.pol
 		if i%2 == 0 {
-			res.Rows[i] = runScenario(l, v.label+" native-only", sys, b.log, core.JobSpec{}, 0)
+			res.Rows[i], _ = runScenario(l, v.label+" native-only", sys, b.log, core.JobSpec{}, 0, nil)
 		} else {
-			res.Rows[i] = runScenario(l, v.label+" +interstitial", sys, b.log, spec, 0)
+			res.Rows[i], _ = runScenario(l, v.label+" +interstitial", sys, b.log, spec, 0, nil)
 		}
 	})
 	return res
@@ -177,11 +173,11 @@ func AblationBurstiness(l *Lab) *AblationResult {
 	bursts := []float64{0, 0.6, 1.0}
 	res.Rows = make([]ablationRow, len(bursts))
 	l.fanout(len(bursts), func(i int) {
-		sys := o.scaled(testbed.BlueMountain())
+		sys := testbed.BlueMountain().Scaled(o.Scale)
 		sys.Workload.Burstiness = bursts[i]
 		log := workload.MustGenerate(sys.Workload, o.Seed)
 		spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)}
-		res.Rows[i] = runScenario(l, fmt.Sprintf("burstiness %.1f", bursts[i]), sys, log, spec, 0)
+		res.Rows[i], _ = runScenario(l, fmt.Sprintf("burstiness %.1f", bursts[i]), sys, log, spec, 0, nil)
 	})
 	return res
 }
@@ -199,7 +195,7 @@ func AblationJobLength(l *Lab) *AblationResult {
 	res.Rows = make([]ablationRow, len(secs))
 	l.fanout(len(secs), func(i int) {
 		spec := core.JobSpec{CPUs: 32, Runtime: b.sys.Seconds1GHz(secs[i])}
-		res.Rows[i] = runScenario(l, fmt.Sprintf("%.0fs@1GHz (%ds)", secs[i], spec.Runtime), b.sys, b.log, spec, 0)
+		res.Rows[i], _ = runScenario(l, fmt.Sprintf("%.0fs@1GHz (%ds)", secs[i], spec.Runtime), b.sys, b.log, spec, 0, nil)
 	})
 	return res
 }
@@ -227,45 +223,11 @@ func AblationPreemption(l *Lab) *AblationResult {
 	}
 	res.Rows = make([]ablationRow, len(variants))
 	l.fanout(len(variants), func(i int) {
-		res.Rows[i] = runScenarioPre(l, variants[i].label, b.sys, b.log, spec, variants[i].pre)
+		row, ctrl := runScenario(l, variants[i].label, b.sys, b.log, spec, 0, variants[i].pre)
+		row.Label = fmt.Sprintf("%s [kills=%d wasted=%.0f CPUh]", row.Label, ctrl.KilledJobs, ctrl.WastedCPUSeconds/3600)
+		res.Rows[i] = row
 	})
 	return res
-}
-
-// runScenarioPre is runScenario with a preemption policy attached.
-func runScenarioPre(l *Lab, label string, sys testbed.System, log []*job.Job, spec core.JobSpec, pre *core.Preemption) ablationRow {
-	natives := job.CloneAll(log)
-	sm := l.newSim(sys)
-	sm.SetTracer(l.scenarioTracer(label, sys))
-	sm.Submit(natives...)
-	horizon := sys.Workload.Duration()
-	ctrl := core.NewController(spec)
-	ctrl.StopAt = horizon
-	ctrl.Preempt = pre
-	mustAttach(ctrl, sm)
-	sm.Run()
-	l.observeSim(sm)
-	all := append(append([]*job.Job{}, natives...), ctrl.Jobs...)
-	overall, native := stats.UtilizationByClass(all, sys.Workload.Machine.CPUs, 0, horizon)
-	waits := stats.Summarize(stats.Waits(natives, job.Native))
-	big := stats.LargestByCPUSeconds(natives, 0.05)
-	var harvested float64
-	for _, j := range ctrl.Jobs {
-		if j.State == job.Finished && j.Finish <= horizon {
-			harvested += j.CPUSeconds()
-		}
-	}
-	harvested -= ctrl.WastedCPUSeconds
-	return ablationRow{
-		Label:            fmt.Sprintf("%s [kills=%d wasted=%.0f CPUh]", label, ctrl.KilledJobs, ctrl.WastedCPUSeconds/3600),
-		InterstitialJobs: len(ctrl.Jobs),
-		HarvestedCPUh:    harvested / 3600,
-		OverallUtil:      overall,
-		NativeUtil:       native,
-		NativeMedianWait: waits.Median,
-		NativeMeanWait:   waits.Mean,
-		BigMedianWait:    stats.Summarize(stats.Waits(big, job.Native)).Median,
-	}
 }
 
 // AblationPrediction evaluates online runtime prediction (the paper's
@@ -297,44 +259,15 @@ func AblationPrediction(l *Lab) *AblationResult {
 		inner := sys.NewPolicy
 		sys.NewPolicy = func() sched.Policy { return predict.Wrap(inner(), pred) }
 		natives := job.CloneAll(b.log)
-		sm := l.newSim(sys)
-		sm.Submit(natives...)
+		horizon := sys.Workload.Duration()
 		ctrl := core.NewController(spec)
-		ctrl.StopAt = sys.Workload.Duration()
-		mustAttach(ctrl, sm)
-		sm.Run()
-		l.observeSim(sm)
+		ctrl.StopAt = horizon
+		l.run(sys, natives, l.scenarioTracer(v.label, sys), ctrl.Attach)
 		geo, under := predict.Accuracy(natives)
-		row := summarizeContinual(sys, natives, ctrl.Jobs)
-		row.Label = fmt.Sprintf("%s [est/actual geo=%.1fx under=%.0f%%]", v.label, geo, under*100)
-		res.Rows[i] = row
+		res.Rows[i] = ablationRowOf(fmt.Sprintf("%s [est/actual geo=%.1fx under=%.0f%%]", v.label, geo, under*100),
+			len(ctrl.Jobs), stats.ImpactOf(natives, ctrl.Jobs, sys.Workload.Machine.CPUs, horizon))
 	})
 	return res
-}
-
-// summarizeContinual condenses a finished continual run into an ablation
-// row (without a label).
-func summarizeContinual(sys testbed.System, natives, inter []*job.Job) ablationRow {
-	horizon := sys.Workload.Duration()
-	all := append(append([]*job.Job{}, natives...), inter...)
-	overall, native := stats.UtilizationByClass(all, sys.Workload.Machine.CPUs, 0, horizon)
-	waits := stats.Summarize(stats.Waits(natives, job.Native))
-	big := stats.LargestByCPUSeconds(natives, 0.05)
-	var harvested float64
-	for _, j := range inter {
-		if j.State == job.Finished && j.Finish <= horizon {
-			harvested += j.CPUSeconds()
-		}
-	}
-	return ablationRow{
-		InterstitialJobs: len(inter),
-		HarvestedCPUh:    harvested / 3600,
-		OverallUtil:      overall,
-		NativeUtil:       native,
-		NativeMedianWait: waits.Median,
-		NativeMeanWait:   waits.Mean,
-		BigMedianWait:    stats.Summarize(stats.Waits(big, job.Native)).Median,
-	}
 }
 
 // AblationGuard quantifies Figure 1's backfillWallTime condition by
@@ -361,22 +294,17 @@ func AblationGuard(l *Lab) *AblationResult {
 		pol, ignore := pols[i/2], i%2 == 1
 		sys := b.sys
 		sys.NewPolicy = pol.mk
-		natives := job.CloneAll(b.log)
-		sm := l.newSim(sys)
-		sm.Submit(natives...)
-		ctrl := core.NewController(spec)
-		ctrl.StopAt = sys.Workload.Duration()
-		ctrl.IgnorePlan = ignore
-		mustAttach(ctrl, sm)
-		sm.Run()
-		l.observeSim(sm)
-		row := summarizeContinual(sys, natives, ctrl.Jobs)
-		guard := "guard on"
+		label := pol.label + ", guard on"
 		if ignore {
-			guard = "guard OFF"
+			label = pol.label + ", guard OFF"
 		}
-		row.Label = pol.label + ", " + guard
-		res.Rows[i] = row
+		natives := job.CloneAll(b.log)
+		horizon := sys.Workload.Duration()
+		ctrl := core.NewController(spec)
+		ctrl.StopAt = horizon
+		ctrl.IgnorePlan = ignore
+		l.run(sys, natives, l.scenarioTracer(label, sys), ctrl.Attach)
+		res.Rows[i] = ablationRowOf(label, len(ctrl.Jobs), stats.ImpactOf(natives, ctrl.Jobs, sys.Workload.Machine.CPUs, horizon))
 	})
 	return res
 }
@@ -394,7 +322,7 @@ func AblationJobWidth(l *Lab) *AblationResult {
 	res.Rows = make([]ablationRow, len(widths))
 	l.fanout(len(widths), func(i int) {
 		spec := core.JobSpec{CPUs: widths[i], Runtime: b.sys.Seconds1GHz(120)}
-		res.Rows[i] = runScenario(l, fmt.Sprintf("%d CPUs/job", widths[i]), b.sys, b.log, spec, 0)
+		res.Rows[i], _ = runScenario(l, fmt.Sprintf("%d CPUs/job", widths[i]), b.sys, b.log, spec, 0, nil)
 	})
 	return res
 }
@@ -413,11 +341,11 @@ func UtilizationSweep(l *Lab) *AblationResult {
 	utils := []float64{0.50, 0.65, 0.79, 0.88, 0.95}
 	res.Rows = make([]ablationRow, len(utils))
 	l.fanout(len(utils), func(i int) {
-		sys := o.scaled(testbed.BlueMountain())
+		sys := testbed.BlueMountain().Scaled(o.Scale)
 		sys.Workload.TargetUtil = utils[i]
 		log := workload.MustGenerate(sys.Workload, o.Seed)
 		spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)}
-		res.Rows[i] = runScenario(l, fmt.Sprintf("native load %.2f", utils[i]), sys, log, spec, 0)
+		res.Rows[i], _ = runScenario(l, fmt.Sprintf("native load %.2f", utils[i]), sys, log, spec, 0, nil)
 	})
 	return res
 }
@@ -436,7 +364,7 @@ func AblationCapSweep(l *Lab) *AblationResult {
 		if caps[i] == 0 {
 			label = "uncapped"
 		}
-		res.Rows[i] = runScenario(l, label, b.sys, b.log, spec, caps[i])
+		res.Rows[i], _ = runScenario(l, label, b.sys, b.log, spec, caps[i], nil)
 	})
 	return res
 }

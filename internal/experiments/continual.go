@@ -37,29 +37,17 @@ type ContinualResult struct {
 // continualColumn builds a column from job records.
 func (l *Lab) continualColumn(name, label string, natives, interstitial []*job.Job) ContinualColumn {
 	b := l.Baseline(name)
-	horizon := b.sys.Workload.Duration()
-	n := b.sys.Workload.Machine.CPUs
-	all := make([]*job.Job, 0, len(natives)+len(interstitial))
-	all = append(all, natives...)
-	all = append(all, interstitial...)
-	overall, native := stats.UtilizationByClass(all, n, 0, horizon)
-	big := stats.LargestByCPUSeconds(natives, 0.05)
-	finished := 0
-	for _, j := range natives {
-		if j.Finish >= 0 && j.Finish <= horizon {
-			finished++
-		}
-	}
+	imp := stats.ImpactOf(natives, interstitial, b.sys.Workload.Machine.CPUs, b.sys.Workload.Duration())
 	return ContinualColumn{
 		Label:            label,
 		InterstitialJobs: len(interstitial),
 		NativeJobs:       len(natives),
-		OverallUtil:      overall,
-		NativeUtil:       native,
-		MedianWaitAll:    stats.Summarize(stats.Waits(natives, job.Native)).Median,
-		MedianWaitBig:    stats.Summarize(stats.Waits(big, job.Native)).Median,
-		MeanWaitAll:      stats.Summarize(stats.Waits(natives, job.Native)).Mean,
-		NativeFinished:   finished,
+		OverallUtil:      imp.OverallUtil,
+		NativeUtil:       imp.NativeUtil,
+		MedianWaitAll:    imp.WaitAll.Median,
+		MedianWaitBig:    imp.WaitBig.Median,
+		MeanWaitAll:      imp.WaitAll.Mean,
+		NativeFinished:   imp.NativeFinished,
 	}
 }
 
@@ -196,7 +184,7 @@ func (r *Figure4Result) Render(w io.Writer) error {
 // rides at ~100% "except for outages".
 func Figure4Outages(l *Lab) *Figure4Result {
 	o := l.Options()
-	sys := o.scaled(testbed.BlueMountain())
+	sys := testbed.BlueMountain().Scaled(o.Scale)
 	// Two drains per log regardless of scale (full scale: every ~28 days,
 	// like the dead zones around hours 1200-1500 in the paper's figure).
 	sys.Workload = sys.Workload.WithOutages(sys.Workload.Days/3, 9)
@@ -210,20 +198,13 @@ func Figure4Outages(l *Lab) *Figure4Result {
 	l.fanout(2, func(i int) {
 		if i == 0 {
 			baseline = job.CloneAll(log)
-			sm := l.newSim(sys)
-			sm.Submit(baseline...)
-			sm.Run()
-			l.observeSim(sm)
+			l.run(sys, baseline, l.scenarioTracer("without", sys))
 			return
 		}
 		withJobs := job.CloneAll(log)
-		sm := l.newSim(sys)
-		sm.Submit(withJobs...)
 		ctrl := core.NewController(core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)})
 		ctrl.StopAt = horizon
-		mustAttach(ctrl, sm)
-		sm.Run()
-		l.observeSim(sm)
+		l.run(sys, withJobs, l.scenarioTracer("with", sys), ctrl.Attach)
 		all = append(append([]*job.Job{}, withJobs...), ctrl.Jobs...)
 	})
 	return &Figure4Result{

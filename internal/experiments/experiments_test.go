@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
-	"interstitial/internal/core"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"interstitial/internal/core"
+	"interstitial/internal/testbed"
 )
 
 // testLab builds a small-scale lab shared by this file's tests (each test
@@ -65,6 +68,28 @@ func TestScaledGrowsAboveOne(t *testing.T) {
 	p := Table2Projects()[0]
 	if got := o.scaledProject(p); got != p {
 		t.Fatalf("project grew above paper size: %+v", got)
+	}
+}
+
+// TestScaledSystemMatchesTestbed: one-shot planners outside a Lab and
+// the Lab itself shape a system with the one rule, testbed.System.Scaled;
+// a nonpositive scale means paper scale, as in Options.
+func TestScaledSystemMatchesTestbed(t *testing.T) {
+	for _, scale := range []float64{0.02, 0.25, 1, 4, 0} {
+		for _, s := range testbed.All() {
+			want := s.Scaled(Options{Scale: scale}.normalized().Scale)
+			got, err := ScaledSystem(s.Name, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lab := NewLab(Options{Scale: scale, Workers: 1}).System(s.Name)
+			if !reflect.DeepEqual(got.Workload, want.Workload) || !reflect.DeepEqual(lab.Workload, want.Workload) {
+				t.Fatalf("%s at %v: ScaledSystem %+v, Lab %+v, want %+v", s.Name, scale, got.Workload, lab.Workload, want.Workload)
+			}
+		}
+	}
+	if _, err := ScaledSystem("Nowhere", 1); err == nil {
+		t.Fatal("unknown system accepted")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 
 	"interstitial/internal/core"
+	"interstitial/internal/engine"
 	"interstitial/internal/faults"
 	"interstitial/internal/job"
 	"interstitial/internal/sim"
@@ -106,14 +107,10 @@ func FaultsSensitivity(l *Lab) *FaultsResult {
 		if rg.CorruptFrac > 0 {
 			faults.CorruptEstimates(natives, rg.CorruptFrac, o.Seed+int64(row))
 		}
-		sm := l.newSim(b.sys)
-		sm.SetTracer(l.scenarioTracer(fmt.Sprintf("r%02d-c%02d", row, col), b.sys))
-		sm.Submit(natives...)
 		ctrl := core.NewController(core.JobSpec{CPUs: 32, Runtime: unitR})
 		ctrl.StopAt = horizon
 		ctrl.Preempt = &core.Preemption{KillLatency: 60, RestartOverhead: overhead}
-		mustAttach(ctrl, sm)
-
+		attach := []func(*engine.Simulator) error{ctrl.Attach}
 		var inj *faults.Injector
 		if rg.MTBF > 0 {
 			sched, err := faults.NewSchedule(faults.Config{
@@ -123,10 +120,12 @@ func FaultsSensitivity(l *Lab) *FaultsResult {
 			if err != nil {
 				panic(err)
 			}
-			inj = faults.Attach(sm, sched, ctrl)
+			attach = append(attach, func(sm *engine.Simulator) error {
+				inj = faults.Attach(sm, sched, ctrl)
+				return nil
+			})
 		}
-		sm.Run()
-		l.observeSim(sm)
+		l.run(b.sys, natives, l.scenarioTracer(fmt.Sprintf("r%02d-c%02d", row, col), b.sys), attach...)
 
 		var useful, occupied float64
 		for _, j := range ctrl.Jobs {

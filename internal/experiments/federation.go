@@ -86,7 +86,7 @@ func Federation(l *Lab) (*FederationResult, error) {
 		machines := make([]federation.Machine, n)
 		totalCPUs := 0
 		for i := range machines {
-			sys := o.scaled(all[i%len(all)])
+			sys := all[i%len(all)].Scaled(o.Scale)
 			machines[i] = federation.Machine{Profile: sys.Workload, NewPolicy: sys.NewPolicy}
 			totalCPUs += sys.Workload.Machine.CPUs
 		}

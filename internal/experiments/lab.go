@@ -27,6 +27,7 @@ import (
 	"interstitial/internal/obs"
 	"interstitial/internal/sim"
 	"interstitial/internal/span"
+	"interstitial/internal/stats"
 	"interstitial/internal/testbed"
 	"interstitial/internal/tracing"
 )
@@ -95,26 +96,6 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// scaled resizes a system's workload profile by o.Scale: shrinking for
-// fast runs, growing for streaming-scale stress runs.
-func (o Options) scaled(s testbed.System) testbed.System {
-	if o.Scale == 1 {
-		return s
-	}
-	s.Workload.Days *= o.Scale
-	s.Workload.Jobs = int(float64(s.Workload.Jobs) * o.Scale)
-	if s.Workload.Jobs < 50 {
-		s.Workload.Jobs = 50
-	}
-	// A weeks-scale runtime tail cannot live inside a days-scale log:
-	// clamp it so calibration can still reach the target utilization.
-	// Grown logs only get longer, so the clamp applies when shrinking.
-	if maxH := s.Workload.Days * 24 / 3; o.Scale < 1 && s.Workload.LongJobMaxHours > maxH {
-		s.Workload.LongJobMaxHours = maxH
-	}
-	return s
-}
-
 // scaledProject shrinks a project spec, preserving the per-job spec (CPUs
 // and seconds@1GHz) while reducing the job count.
 func (o Options) scaledProject(p core.ProjectSpec) core.ProjectSpec {
@@ -135,7 +116,6 @@ type baseline struct {
 	sys     testbed.System
 	log     []*job.Job // pristine, unsimulated
 	ran     []*job.Job // the same jobs after the native-only run
-	sim     *engine.Simulator
 	utilNat float64
 }
 
@@ -151,7 +131,6 @@ type continualKey struct {
 type continualRun struct {
 	natives      []*job.Job
 	interstitial []*job.Job
-	ctrl         *core.Controller
 }
 
 // baselineEntry is a singleflight slot for one system's baseline. A
@@ -273,12 +252,14 @@ func (l *Lab) owner() string {
 // text dump, /metrics).
 func (l *Lab) Metrics() *obs.Registry { return l.met.reg }
 
-// SetTracing installs a trace collector: every simulation the lab runs
-// from now on records its scheduler decisions into a per-run tracer.
-// Call it once, on a fresh Lab, before any experiment runs — artifacts
-// computed earlier stay untraced (their memo already resolved). A nil
-// collector (the default) disables tracing. Tracing is observation only:
-// rendered tables are byte-identical with it on or off.
+// SetTracing installs a trace collector: every simulation of a job log
+// the lab runs from now on records its scheduler decisions into its own
+// tracer, except federation shards (only the fleet's route and steal
+// events) and scale-stream's streamed runs (untraced). Call it once, on a
+// fresh Lab, before any experiment runs — artifacts computed earlier stay
+// untraced (their memo already resolved). A nil collector (the default)
+// disables tracing. Tracing is observation only: rendered tables are
+// byte-identical with it on or off.
 func (l *Lab) SetTracing(c *tracing.Collector) { l.trace = c }
 
 // Trace returns the installed collector (nil when tracing is off).
@@ -403,21 +384,17 @@ func (l *Lab) shieldedForEach(n int, fn func(i int)) {
 	}
 }
 
-// newSim builds a simulator for sys bound to the lab's context, so a
-// cancelled run aborts mid-simulation instead of after it.
-func (l *labCore) newSim(sys testbed.System) *engine.Simulator {
-	sm := sys.NewSimulator()
-	sm.SetContext(l.ctx)
-	return sm
-}
-
-// mustAttach attaches ctrl to sm; controller specs inside experiments are
-// valid by construction, so a failure here is a harness bug surfaced
-// through the cell boundary.
-func mustAttach(c *core.Controller, sm *engine.Simulator) {
-	if err := c.Attach(sm); err != nil {
+// run is how the lab simulates a job log: testbed.System.Run under the
+// lab's context, recording into tr (nil when tracing is off), then
+// observeSim. Experiment controllers are valid by construction, so an
+// attach error is a harness bug; it panics for the cell boundary to
+// classify, as does an interrupted run's cancellation.
+func (l *labCore) run(sys testbed.System, jobs []*job.Job, tr *tracing.Tracer, attach ...func(*engine.Simulator) error) {
+	sm, err := sys.Run(l.ctx, jobs, tr, attach...)
+	if err != nil {
 		panic(err)
 	}
+	l.observeSim(sm)
 }
 
 // observeSim folds a finished simulator's kernel and scheduler counters
@@ -455,7 +432,7 @@ func (l *labCore) Options() Options { return l.opts }
 func (l *labCore) System(name string) testbed.System {
 	for _, s := range testbed.All() {
 		if s.Name == name {
-			return l.opts.scaled(s)
+			return s.Scaled(l.opts.Scale)
 		}
 	}
 	panic(fmt.Sprintf("experiments: unknown system %q", name))
@@ -486,13 +463,9 @@ func (l *labCore) Baseline(name string) *baseline {
 		ran := job.CloneAll(log)
 		// Only the final native run is traced; calibration's internal
 		// sims are throwaway searches, not decisions anyone audits.
-		tr := l.trace.Tracer("baseline/"+name, name, sys.Workload.Machine.CPUs)
-		sm, util, err := sys.RunNativeObserved(l.ctx, ran, tr)
-		if err != nil {
-			panic(err)
-		}
-		l.observeSim(sm)
-		e.b = &baseline{sys: sys, log: log, ran: ran, sim: sm, utilNat: util}
+		l.run(sys, ran, l.trace.Tracer("baseline/"+name, name, sys.Workload.Machine.CPUs))
+		util := stats.Utilization(ran, sys.Workload.Machine.CPUs, 0, sys.Workload.Duration())
+		e.b = &baseline{sys: sys, log: log, ran: ran, utilNat: util}
 	})
 	if e.panicked != nil {
 		panic(e.panicked)
@@ -523,22 +496,14 @@ func (l *labCore) Continual(name string, spec core.JobSpec, capPct int) *continu
 		l.met.continualComputes.Inc()
 		b := l.Baseline(name)
 		natives := job.CloneAll(b.log)
-		sm := l.newSim(b.sys)
-		if l.trace != nil {
-			sm.SetTracer(l.trace.Tracer(
-				fmt.Sprintf("continual/%s/%dcpu-%ds-cap%02d", name, spec.CPUs, spec.Runtime, capPct),
-				name, b.sys.Workload.Machine.CPUs))
-		}
-		sm.Submit(natives...)
 		ctrl := core.NewController(spec)
 		ctrl.StopAt = b.sys.Workload.Duration()
 		if capPct > 0 {
 			ctrl.UtilCap = float64(capPct) / 100
 		}
-		mustAttach(ctrl, sm)
-		sm.Run()
-		l.observeSim(sm)
-		e.r = &continualRun{natives: natives, interstitial: ctrl.Jobs, ctrl: ctrl}
+		label := fmt.Sprintf("continual/%s/%dcpu-%ds-cap%02d", name, spec.CPUs, spec.Runtime, capPct)
+		l.run(b.sys, natives, l.trace.Tracer(label, name, b.sys.Workload.Machine.CPUs), ctrl.Attach)
+		e.r = &continualRun{natives: natives, interstitial: ctrl.Jobs}
 	})
 	if e.panicked != nil {
 		panic(e.panicked)
@@ -573,7 +538,7 @@ func (l *Lab) NativeBaseline(name string) (sys testbed.System, ran []*job.Job, u
 func ScaledSystem(name string, scale float64) (testbed.System, error) {
 	for _, s := range testbed.All() {
 		if s.Name == name {
-			return Options{Scale: scale}.normalized().scaled(s), nil
+			return s.Scaled(Options{Scale: scale}.normalized().Scale), nil
 		}
 	}
 	return testbed.System{}, fmt.Errorf("experiments: unknown system %q", name)

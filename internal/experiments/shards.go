@@ -43,10 +43,10 @@ func IntraCellShards(l *Lab, shards int) *AblationResult {
 	}
 	rows := make([]ablationRow, shards)
 	l.fanout(shards, func(s int) {
-		sys := o.scaled(testbed.BlueMountain())
+		sys := testbed.BlueMountain().Scaled(o.Scale)
 		log := workload.MustGenerate(sys.Workload, rng.DeriveSeed(o.Seed, uint64(s)))
 		spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)}
-		rows[s] = runScenario(l, fmt.Sprintf("shard %d", s), sys, log, spec, 0)
+		rows[s], _ = runScenario(l, fmt.Sprintf("shard %d", s), sys, log, spec, 0, nil)
 	})
 	res.Rows = append(rows, mergeShardRows(rows))
 	return res

@@ -8,6 +8,7 @@ import (
 	"interstitial/internal/core"
 	"interstitial/internal/job"
 	"interstitial/internal/stats"
+	"interstitial/internal/testbed"
 )
 
 // Table5Scenario is one column of Table 5: native jobs alone or alongside
@@ -50,32 +51,29 @@ func Table5(l *Lab) *Table5Result {
 	// The two project co-simulations are independent full runs: fan them
 	// out over the lab's pool, landing each scenario in its slot.
 	res.Scenarios = make([]Table5Scenario, 1+len(scens))
-	res.Scenarios[0] = summarizeNatives("Native", b.ran, 0)
+	res.Scenarios[0] = summarizeNatives("Native", b.sys, b.ran, nil)
 	l.fanout(len(scens), func(i int) {
 		sc := scens[i]
 		natives := job.CloneAll(b.log)
-		sm := l.newSim(b.sys)
-		sm.Submit(natives...)
 		spec := sc.proj.JobSpecFor(b.sys.Workload.Machine.ClockGHz)
 		ctrl := core.NewProject(spec, sc.proj.KJobs, startAt)
 		ctrl.StopAt = horizon * 4 // projects may outlive the log
-		mustAttach(ctrl, sm)
-		sm.Run()
-		l.observeSim(sm)
-		res.Scenarios[1+i] = summarizeNatives(sc.label, natives, len(ctrl.Jobs))
+		l.run(b.sys, natives, l.scenarioTracer(sc.label, b.sys), ctrl.Attach)
+		res.Scenarios[1+i] = summarizeNatives(sc.label, b.sys, natives, ctrl.Jobs)
 	})
 	return res
 }
 
-func summarizeNatives(label string, natives []*job.Job, nInterstitial int) Table5Scenario {
-	big := stats.LargestByCPUSeconds(natives, 0.05)
+// summarizeNatives builds a column from the native impact of a run.
+func summarizeNatives(label string, sys testbed.System, natives, inter []*job.Job) Table5Scenario {
+	imp := stats.ImpactOf(natives, inter, sys.Workload.Machine.CPUs, sys.Workload.Duration())
 	return Table5Scenario{
 		Label:            label,
-		WaitAll:          stats.Summarize(stats.Waits(natives, job.Native)),
-		WaitBig:          stats.Summarize(stats.Waits(big, job.Native)),
-		EFAll:            stats.Summarize(stats.ExpansionFactors(natives, job.Native)),
-		EFBig:            stats.Summarize(stats.ExpansionFactors(big, job.Native)),
-		InterstitialJobs: nInterstitial,
+		WaitAll:          imp.WaitAll,
+		WaitBig:          imp.WaitBig,
+		EFAll:            imp.EFAll,
+		EFBig:            imp.EFBig,
+		InterstitialJobs: len(inter),
 	}
 }
 

@@ -61,13 +61,8 @@ func ValidateSampling(l *Lab) *ValidateSamplingResult {
 			return
 		}
 		// Direct co-simulation of the same single project.
-		natives := job.CloneAll(b.log)
-		sm := l.newSim(b.sys)
-		sm.Submit(natives...)
 		ctrl := core.NewProject(spec, p.KJobs, t1)
-		mustAttach(ctrl, sm)
-		sm.Run()
-		l.observeSim(sm)
+		l.run(b.sys, job.CloneAll(b.log), l.scenarioTracer(fmt.Sprintf("start %d%%", pcts[i]), b.sys), ctrl.Attach)
 		direct, err := ctrl.Makespan()
 		if err != nil {
 			return
@@ -150,16 +145,14 @@ func Correlations(l *Lab) *CorrelationsResult {
 	// Bursty and flattened runs are independent; run both sides at once.
 	l.fanout(2, func(i int) {
 		bursty := i == 0
-		sys := o.scaled(testbed.BlueMountain())
+		sys := testbed.BlueMountain().Scaled(o.Scale)
+		label := "bursty"
 		if !bursty {
 			sys.Workload.Burstiness = 0
+			label = "flattened"
 		}
-		log := workload.MustGenerate(sys.Workload, o.Seed)
-		natives := job.CloneAll(log)
-		sm := l.newSim(sys)
-		sm.Submit(natives...)
-		sm.Run()
-		l.observeSim(sm)
+		natives := workload.MustGenerate(sys.Workload, o.Seed)
+		l.run(sys, natives, l.scenarioTracer(label, sys))
 		series := stats.HourlySeries(natives, sys.Workload.Machine.CPUs, sys.Workload.Duration(), 3600)
 		acf := stats.Autocorrelation(series, 24)
 		h := stats.HurstAggVar(series)
@@ -229,13 +222,13 @@ func SeedRobustness(l *Lab, nSeeds int) *SeedRobustnessResult {
 	l.fanout(2*nSeeds, func(i int) {
 		s := int64(i / 2)
 		seed := o.Seed + s*1000
-		sys := o.scaled(testbed.BlueMountain())
+		sys := testbed.BlueMountain().Scaled(o.Scale)
 		log := workload.MustGenerate(sys.Workload, seed)
 		if i%2 == 0 {
-			rows[i] = runScenario(l, "base", sys, log, core.JobSpec{}, 0)
+			rows[i], _ = runScenario(l, fmt.Sprintf("seed %d/base", seed), sys, log, core.JobSpec{}, 0, nil)
 		} else {
 			spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)}
-			rows[i] = runScenario(l, "with", sys, log, spec, 0)
+			rows[i], _ = runScenario(l, fmt.Sprintf("seed %d/with", seed), sys, log, spec, 0, nil)
 		}
 	})
 	for s := 0; s < nSeeds; s++ {

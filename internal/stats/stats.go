@@ -217,6 +217,54 @@ func LargestByCPUSeconds(jobs []*job.Job, frac float64) []*job.Job {
 	return s[:n]
 }
 
+// Impact is the native-impact summary of one co-simulation over [0,
+// horizon): the measurement the paper's Tables 5–8 repeat. It holds the
+// utilizations, the native waits and expansion factors for all natives
+// and for the 5% largest by CPU-seconds, native throughput, and the
+// interstitial harvest.
+type Impact struct {
+	// OverallUtil and NativeUtil are UtilizationByClass over the natives
+	// and interstitial jobs together.
+	OverallUtil, NativeUtil float64
+	// WaitAll and EFAll summarize the natives' waits and expansion
+	// factors; WaitBig and EFBig do the same for the 5% largest.
+	WaitAll, WaitBig Summary
+	EFAll, EFBig     Summary
+	// NativeFinished counts natives finished inside the horizon: the
+	// paper's throughput-preservation check.
+	NativeFinished int
+	// Harvested is the CPU-seconds of interstitial jobs in state Finished
+	// inside the horizon. Killed runs harvest nothing.
+	Harvested float64
+}
+
+// ImpactOf summarizes natives co-simulated with the interstitial jobs
+// inter (nil for a native-only run) on a cpus-CPU machine over [0,
+// horizon).
+func ImpactOf(natives, inter []*job.Job, cpus int, horizon sim.Time) Impact {
+	all := make([]*job.Job, 0, len(natives)+len(inter))
+	all = append(append(all, natives...), inter...)
+	big := LargestByCPUSeconds(natives, 0.05)
+	imp := Impact{
+		WaitAll: Summarize(Waits(natives, job.Native)),
+		WaitBig: Summarize(Waits(big, job.Native)),
+		EFAll:   Summarize(ExpansionFactors(natives, job.Native)),
+		EFBig:   Summarize(ExpansionFactors(big, job.Native)),
+	}
+	imp.OverallUtil, imp.NativeUtil = UtilizationByClass(all, cpus, 0, horizon)
+	for _, j := range natives {
+		if j.Class == job.Native && j.Finish >= 0 && j.Finish <= horizon {
+			imp.NativeFinished++
+		}
+	}
+	for _, j := range inter {
+		if j.State == job.Finished && j.Finish <= horizon {
+			imp.Harvested += j.CPUSeconds()
+		}
+	}
+	return imp
+}
+
 // NativeOnly filters a record set to native jobs.
 func NativeOnly(jobs []*job.Job) []*job.Job {
 	var out []*job.Job

@@ -256,3 +256,59 @@ func TestMaintenanceExcludedFromUtilization(t *testing.T) {
 		t.Fatalf("outage bucket utilization = %v, want 0 (the Figure 4 dip)", s[1])
 	}
 }
+
+// rec builds a started job record: submitted at submit, run from start to
+// finish (a Killed one stops early), planned for runtime seconds.
+func rec(id, cpus int, runtime, submit, start, finish sim.Time, state job.State, class job.Class) *job.Job {
+	j := job.New(id, "u", "g", cpus, runtime, runtime, submit)
+	j.Class, j.State, j.Start, j.Finish = class, state, start, finish
+	return j
+}
+
+// TestImpactOf pins the native-impact rules on a 10-CPU machine over a
+// 100 s horizon: what counts toward each utilization, the harvest and
+// native throughput, and how the 5% largest are picked.
+func TestImpactOf(t *testing.T) {
+	natives := []*job.Job{
+		// Jobs 2 and 1 tie at 100 CPU·s; the lower ID is the 5% largest
+		// (the top 1 of 4), whatever the input order.
+		rec(2, 4, 25, 0, 0, 25, job.Finished, job.Native),    // wait 0, EF 1
+		rec(1, 2, 50, 0, 10, 60, job.Finished, job.Native),   // wait 10, EF 1.2
+		rec(3, 1, 40, 50, 80, 120, job.Finished, job.Native), // wait 30, EF 1.75, finishes after the horizon
+		// An outage drain: it holds CPUs but earns no utilization, waits
+		// or throughput.
+		rec(4, 10, 5, 0, 0, 5, job.Finished, job.Maintenance),
+	}
+	inter := []*job.Job{
+		rec(5, 1, 30, 0, 0, 30, job.Finished, job.Interstitial),    // harvested: 30 CPU·s
+		rec(6, 2, 30, 40, 40, 55, job.Killed, job.Interstitial),    // busy 30 CPU·s, killed: no harvest
+		rec(7, 1, 30, 90, 90, 120, job.Finished, job.Interstitial), // busy 10 CPU·s, finishes after the horizon
+	}
+	// The three natives' samples; the maintenance job has none.
+	waits, efs := Summarize([]float64{0, 10, 30}), Summarize([]float64{1, 1.2, 1.75})
+	big, bigEF := Summarize([]float64{10}), Summarize([]float64{1.2})
+	for _, tc := range []struct {
+		name  string
+		inter []*job.Job
+		want  Impact
+	}{
+		{"co-simulated", inter, Impact{
+			// Natives 100+100+20 CPU·s in the window; interstitials 30+30+10.
+			OverallUtil: 0.29, NativeUtil: 0.22,
+			WaitAll: waits, WaitBig: big, EFAll: efs, EFBig: bigEF,
+			NativeFinished: 2, Harvested: 30,
+		}},
+		{"natives only", nil, Impact{
+			OverallUtil: 0.22, NativeUtil: 0.22,
+			WaitAll: waits, WaitBig: big, EFAll: efs, EFBig: bigEF,
+			NativeFinished: 2,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := ImpactOf(natives, tc.inter, 10, 100)
+			if got != tc.want {
+				t.Fatalf("ImpactOf =\n  %+v\nwant\n  %+v", got, tc.want)
+			}
+		})
+	}
+}

@@ -52,42 +52,59 @@ func BluePacific() System {
 // All returns the three systems in the paper's column order.
 func All() []System { return []System{Ross(), BlueMountain(), BluePacific()} }
 
-// NewSimulator builds a fresh simulator for the system.
-func (s System) NewSimulator() *engine.Simulator {
-	return engine.New(s.Workload.Machine, s.NewPolicy())
+// Scaled resizes the workload's days and job count by f > 0: below 1 for
+// fast runs (at least 50 jobs, the long-job tail clamped), above 1 for
+// streaming-scale stress runs. It is the one scaling rule the harness and
+// the CLIs share.
+func (s System) Scaled(f float64) System {
+	if f == 1 {
+		return s
+	}
+	s.Workload.Days *= f
+	s.Workload.Jobs = int(float64(s.Workload.Jobs) * f)
+	if s.Workload.Jobs < 50 {
+		s.Workload.Jobs = 50
+	}
+	// A weeks-scale runtime tail cannot live inside a days-scale log:
+	// clamp it so calibration can still reach the target utilization.
+	// Grown logs only get longer, so the clamp applies when shrinking.
+	if maxH := s.Workload.Days * 24 / 3; f < 1 && s.Workload.LongJobMaxHours > maxH {
+		s.Workload.LongJobMaxHours = maxH
+	}
+	return s
 }
 
-// RunNative simulates the given native log with no interstitial jobs and
-// reports the achieved native utilization over the log horizon. The jobs
-// slice is mutated (start/finish recorded).
-func (s System) RunNative(jobs []*job.Job) (*engine.Simulator, float64) {
-	sm, native, _ := s.RunNativeCtx(context.Background(), jobs)
-	return sm, native
-}
-
-// RunNativeCtx is RunNative under a context: a cancelled ctx aborts the
-// simulation cooperatively (within ~4096 events) and returns ctx's error
-// alongside the partially-run simulator. With a background context it is
-// byte-for-byte identical to RunNative.
-func (s System) RunNativeCtx(ctx context.Context, jobs []*job.Job) (*engine.Simulator, float64, error) {
-	return s.RunNativeObserved(ctx, jobs, nil)
-}
-
-// RunNativeObserved is RunNativeCtx with decision tracing: tr, when
-// non-nil, records every scheduler decision the run makes. A nil tr is
-// exactly RunNativeCtx — tracing leaves the simulation untouched either
-// way (events are observation only).
-func (s System) RunNativeObserved(ctx context.Context, jobs []*job.Job, tr *tracing.Tracer) (*engine.Simulator, float64, error) {
-	sm := s.NewSimulator()
+// Run is the one place a job log is simulated: a fresh simulator under
+// ctx, recording into tr (nil: untraced), takes the jobs, then each
+// attach in order (a controller's Attach, then a fault injector), and
+// runs. A cancelled ctx aborts within ~4096 events and returns ctx's
+// error with the partial simulator. The jobs are mutated (start/finish
+// recorded).
+func (s System) Run(ctx context.Context, jobs []*job.Job, tr *tracing.Tracer, attach ...func(*engine.Simulator) error) (*engine.Simulator, error) {
+	sm := engine.New(s.Workload.Machine, s.NewPolicy())
 	sm.SetContext(ctx)
 	sm.SetTracer(tr)
 	sm.Submit(jobs...)
+	for _, a := range attach {
+		if err := a(sm); err != nil {
+			return sm, err
+		}
+	}
 	sm.Run()
 	if sm.Interrupted() {
-		return sm, 0, ctx.Err()
+		return sm, ctx.Err()
 	}
-	native := stats.Utilization(jobs, s.Workload.Machine.CPUs, 0, s.Workload.Duration())
-	return sm, native, nil
+	return sm, nil
+}
+
+// RunNative is Run with no interstitial jobs, reporting the achieved
+// native utilization over the log horizon.
+func (s System) RunNative(ctx context.Context, jobs []*job.Job, tr *tracing.Tracer) (*engine.Simulator, float64, error) {
+	sm, err := s.Run(ctx, jobs, tr)
+	if err != nil {
+		return sm, 0, err
+	}
+	return sm, stats.Utilization(jobs, s.Workload.Machine.CPUs, 0, s.Workload.Duration()), nil
 }
 
 // CalibratedLog generates a native log whose achieved (simulated)
@@ -116,7 +133,7 @@ func (s System) CalibratedLogCtx(ctx context.Context, seed int64, tol float64) (
 	for iter := 0; iter < 5; iter++ {
 		p.TargetUtil = offered
 		jobs := workload.MustGenerate(p, seed)
-		_, achieved, err := s.RunNativeCtx(ctx, job.CloneAll(jobs))
+		_, achieved, err := s.RunNative(ctx, job.CloneAll(jobs), nil)
 		if err != nil {
 			return nil, err
 		}

@@ -109,7 +109,7 @@ func CalibratedLogCtx(ctx context.Context, m Machine, seed int64) ([]*Job, error
 // native utilization over the log horizon. The jobs are mutated in place
 // with start/finish times.
 func RunNative(m Machine, log []*Job) float64 {
-	_, util := m.RunNative(log)
+	_, util, _ := m.RunNative(context.Background(), log, nil) // a background run cannot fail
 	return util
 }
 
@@ -117,7 +117,7 @@ func RunNative(m Machine, log []*Job) float64 {
 // TraceCollector; nil disables tracing) records every scheduler decision
 // of the run. The simulation itself is identical either way.
 func RunNativeTraced(m Machine, log []*Job, tr *Tracer) (float64, error) {
-	_, util, err := m.RunNativeObserved(context.Background(), log, tr)
+	_, util, err := m.RunNative(context.Background(), log, tr)
 	return util, err
 }
 
@@ -159,18 +159,9 @@ func RunProjectTraced(ctx context.Context, m Machine, log []*Job, p ProjectSpec,
 		return ProjectResult{}, err
 	}
 	natives := job.CloneAll(log)
-	sm := m.NewSimulator()
-	sm.SetContext(ctx)
-	sm.SetTracer(tr)
-	sm.Submit(natives...)
-	spec := p.JobSpecFor(m.Workload.Machine.ClockGHz)
-	ctrl := core.NewProject(spec, p.KJobs, startAt)
-	if err := ctrl.Attach(sm); err != nil {
+	ctrl := core.NewProject(p.JobSpecFor(m.Workload.Machine.ClockGHz), p.KJobs, startAt)
+	if _, err := m.Run(ctx, natives, tr, ctrl.Attach); err != nil {
 		return ProjectResult{}, err
-	}
-	sm.Run()
-	if sm.Interrupted() {
-		return ProjectResult{}, ctx.Err()
 	}
 	ms, err := ctrl.Makespan()
 	if err != nil {
@@ -236,20 +227,12 @@ func RunContinualOptsCtx(ctx context.Context, m Machine, log []*Job, spec JobSpe
 		return ContinualResult{}, err
 	}
 	natives := job.CloneAll(log)
-	sm := m.NewSimulator()
-	sm.SetContext(ctx)
-	sm.SetTracer(opts.Tracer)
-	sm.Submit(natives...)
 	ctrl := core.NewController(spec)
 	ctrl.StopAt = m.Workload.Duration()
 	ctrl.UtilCap = opts.UtilCap
 	ctrl.Preempt = opts.Preempt
-	if err := ctrl.Attach(sm); err != nil {
+	if _, err := m.Run(ctx, natives, opts.Tracer, ctrl.Attach); err != nil {
 		return ContinualResult{}, err
-	}
-	sm.Run()
-	if sm.Interrupted() {
-		return ContinualResult{}, ctx.Err()
 	}
 	all := append(append([]*Job{}, natives...), ctrl.Jobs...)
 	overall, native := stats.UtilizationByClass(all, m.Workload.Machine.CPUs, 0, m.Workload.Duration())
