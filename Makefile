@@ -82,6 +82,7 @@ bench-omni:
 fuzz:
 	$(GO) test -fuzz FuzzEventHeap -fuzztime 30s ./internal/sim/
 	$(GO) test -fuzz FuzzPackProject -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzCohortAdmission -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzMachineByName -fuzztime 30s .
 	$(GO) test -fuzz FuzzRoutePolicy -fuzztime 30s ./internal/federation/

@@ -16,9 +16,7 @@ import (
 )
 
 func main() {
-	m := interstitial.BlueMountain()
-	m.Workload.Days /= 8
-	m.Workload.Jobs /= 8
+	m := interstitial.BlueMountain().Scaled(0.125)
 
 	logJobs := interstitial.CalibratedLog(m, 11)
 	baseUtil := interstitial.RunNative(m, logJobs)

@@ -15,9 +15,7 @@ import (
 )
 
 func main() {
-	m := interstitial.BlueMountain()
-	m.Workload.Days /= 8
-	m.Workload.Jobs /= 8
+	m := interstitial.BlueMountain().Scaled(0.125)
 
 	logJobs := interstitial.CalibratedLog(m, 7)
 	util := interstitial.RunNative(m, logJobs)

@@ -19,9 +19,7 @@ import (
 )
 
 func main() {
-	sys := interstitial.BlueMountain()
-	sys.Workload.Days /= 8
-	sys.Workload.Jobs /= 8
+	sys := interstitial.BlueMountain().Scaled(0.125)
 	logJobs := workload.MustGenerate(sys.Workload, 21)
 
 	// Long interstitial jobs (960 s@1GHz = ~1h wallclock) make the

@@ -12,9 +12,7 @@ import (
 
 func main() {
 	// Shrink the testbed so the example runs in a couple of seconds.
-	m := interstitial.BlueMountain()
-	m.Workload.Days /= 8
-	m.Workload.Jobs /= 8
+	m := interstitial.BlueMountain().Scaled(0.125)
 
 	fmt.Printf("Machine: %s — %d CPUs @ %.3f GHz (%.3f TCycles)\n",
 		m.Name, m.Workload.Machine.CPUs, m.Workload.Machine.ClockGHz, m.Workload.Machine.TeraCycles())
@@ -35,10 +33,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	theory := interstitial.TheoreticalMakespan(m, project.PetaCycles)
+	// P/(nC(1-U)) is the makespan if spare capacity were spread evenly
+	// at the log's mean utilization. It is not a bound: a project dropped
+	// into a utilization trough finishes sooner.
+	ideal := interstitial.TheoreticalMakespan(m, project.PetaCycles)
 	fmt.Printf("\nProject %v dropped at t=%.1fh:\n", project, start.HoursF())
 	fmt.Printf("  fallible makespan:    %.1f h (%d jobs)\n", res.Makespan.HoursF(), len(res.Jobs))
-	fmt.Printf("  theoretical minimum:  %.1f h  (P/(nC(1-U)))\n", theory/3600)
+	fmt.Printf("  constant-U ideal:     %.1f h  (P/(nC(1-U)))\n", ideal/3600)
 	fmt.Printf("  breakage factor (32): %.3f\n", interstitial.Breakage(m, 32))
 
 	// How did the natives fare? Compare the same log with and without the

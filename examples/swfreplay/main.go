@@ -16,9 +16,7 @@ import (
 )
 
 func main() {
-	m := interstitial.BlueMountain()
-	m.Workload.Days /= 8
-	m.Workload.Jobs /= 8
+	m := interstitial.BlueMountain().Scaled(0.125)
 
 	// 1. Produce a log (stand-in for a real site trace).
 	original := workload.MustGenerate(m.Workload, 99)

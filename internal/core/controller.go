@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"interstitial/internal/engine"
 	"interstitial/internal/job"
@@ -50,7 +51,8 @@ type Controller struct {
 	// DiscardRecords, when set, stops the controller from accumulating
 	// submitted jobs on Jobs — the O(total jobs) retention a streamed
 	// continual run cannot afford. Consumers read the records from the
-	// engine's retire hook instead. Makespan is unavailable in this mode.
+	// engine's retire hook instead, and may hand them back through
+	// Recycle. Makespan is unavailable in this mode.
 	DiscardRecords bool
 
 	// Jobs collects every interstitial job submitted, in start order,
@@ -66,6 +68,12 @@ type Controller struct {
 	backlog []pendingWork
 	nextID  int
 	blockID int // kill-latency blocker jobs issued
+
+	// spare queues the retired records handed back through Recycle,
+	// oldest first from spareHead on; record reuses them before
+	// allocating.
+	spare     []*job.Job
+	spareHead int
 }
 
 // pendingWork is a preempted remainder awaiting resubmission: run seconds
@@ -198,8 +206,8 @@ func (c *Controller) Done() bool {
 //	if jobsInQueue == 0                        -> submit
 //	else if backfillWallTime > interstitialRuntime -> submit
 //
-// We apply the condition per job against the pass's capacity plan (which
-// embeds the head job's reservation), which is the same test expressed in
+// We apply the condition against the pass's capacity plan (which embeds
+// the head job's reservation), which is the same test expressed in
 // profile form: an interstitial job may start only where the plan says its
 // whole runtime fits without touching any native reservation.
 func (c *Controller) afterPass(s *engine.Simulator, res sched.PassResult) {
@@ -215,53 +223,145 @@ func (c *Controller) afterPass(s *engine.Simulator, res sched.PassResult) {
 	if now < c.StartAt || now > c.StopAt {
 		return
 	}
-	// Resubmit preempted remainders first, then fresh jobs.
-	for len(c.backlog) > 0 && c.admit(s, res, c.backlog[0], tracing.ReasonContinuation) {
+	// Resubmit preempted remainders first, one at a time since each has
+	// its own runtime, then the fresh units as one cohort.
+	for len(c.backlog) > 0 && c.admit(s, res, c.backlog[0], 1, tracing.ReasonContinuation) == 1 {
 		c.backlog = c.backlog[1:]
 	}
-	for !c.Done() && c.Remaining() != 0 && c.admit(s, res, pendingWork{run: c.Spec.Runtime}, tracing.ReasonFresh) {
-		c.created++
+	fresh := c.Remaining()
+	if c.Done() {
+		fresh = 0
+	}
+	if fresh < 0 {
+		fresh = math.MaxInt
+	}
+	if fresh > 0 {
+		c.created += c.admit(s, res, pendingWork{run: c.Spec.Runtime}, fresh, tracing.ReasonFresh)
 	}
 }
 
-// admit starts one interstitial job for the given work unit (useful run
-// time plus any restart overhead) if every Figure-1 condition holds, and
-// reports whether it did. reason records whether the unit is fresh work
-// or the continuation of a preempted remainder.
-func (c *Controller) admit(s *engine.Simulator, res sched.PassResult, w pendingWork, reason tracing.Reason) bool {
+// admit starts up to limit interstitial jobs for identical copies of a work
+// unit (useful run time plus any restart overhead), as many as every
+// Figure-1 condition allows, and reports how many it started. reason
+// records whether the unit is fresh work or the continuation of a
+// preempted remainder.
+//
+// The count k is taken once, as the smallest of four bounds, and equals
+// what k admissions one job at a time would reach: each admission lowers
+// the free CPUs, Busy and the plan's minimum over [now, now+runtime) by
+// exactly the job's CPUs — the plan starts at now, and the cohort's one
+// Reserve covers exactly that window — so every bound is met by the first
+// k jobs and missed by the next. Each job still gets its own ID, spawn
+// event (with Busy before its start), start and place event, in that
+// order.
+func (c *Controller) admit(s *engine.Simulator, res sched.PassResult, w pendingWork, limit int, reason tracing.Reason) int {
 	now := s.Now()
 	m := s.Machine()
 	runtime := w.run + w.overhead
-	if m.Free() < c.Spec.CPUs {
-		return false
-	}
+	cpus := c.Spec.CPUs
+	k := min(limit, m.Free()/cpus)
 	// Utilization cap (Section 4.3.2.2): do not push instantaneous
 	// utilization above the cap.
-	if c.UtilCap > 0 && float64(m.Busy()+c.Spec.CPUs)/float64(m.Config().CPUs) > c.UtilCap {
-		return false
+	if c.UtilCap > 0 {
+		k = c.underCap(k, m.Busy(), m.Config().CPUs)
 	}
-	// Figure 1's queue condition, per job against the plan: with an
-	// empty queue the plan holds no reservations and this always passes;
-	// with a waiting head job it passes exactly when the interstitial
-	// job stays clear of the head's reservation — i.e.
-	// backfillWallTime > interstitialRuntime, locally.
-	if !c.IgnorePlan && res.Plan != nil && res.Plan.MinFree(now, now+runtime) < c.Spec.CPUs {
-		return false
+	// Figure 1's queue condition against the plan: with an empty queue
+	// the plan holds no reservations and this bounds nothing; with a
+	// waiting head job it admits exactly the jobs that stay clear of the
+	// head's reservation — i.e. backfillWallTime > interstitialRuntime,
+	// locally.
+	plan := res.Plan
+	if c.IgnorePlan {
+		plan = nil
 	}
-	c.nextID++
-	j := job.NewInterstitial(interstitialIDBase+c.nextID, c.Spec.CPUs, runtime, now)
-	j.Overhead = w.overhead
-	if t := s.Tracer(); t != nil {
-		t.Emit(now, tracing.KindSpawn, reason, j.ID, j.CPUs, m.Busy(), int64(w.overhead))
+	if plan != nil && k > 0 {
+		k = min(k, plan.MinFree(now, now+runtime)/cpus)
 	}
-	s.StartDirect(j)
-	if !c.IgnorePlan && res.Plan != nil {
-		res.Plan.Reserve(now, c.Spec.CPUs, runtime)
+	if k <= 0 {
+		return 0
 	}
+	if plan != nil {
+		plan.Reserve(now, k*cpus, runtime)
+	}
+	t := s.Tracer()
+	for range k {
+		c.nextID++
+		j := c.record(interstitialIDBase+c.nextID, runtime, w.overhead, now)
+		if t != nil {
+			t.Emit(now, tracing.KindSpawn, reason, j.ID, j.CPUs, m.Busy(), int64(w.overhead))
+		}
+		s.StartDirect(j)
+		if !c.DiscardRecords {
+			c.Jobs = append(c.Jobs, j)
+		}
+	}
+	return k
+}
+
+// underCap lowers k to the largest n <= k for which the cap test on n more
+// jobs, float64(busy+n·CPUs)/float64(total) > UtilCap, still fails. The
+// test is monotone in n, so this is where k admissions one at a time
+// would stop; the estimate is corrected against the test itself, so the
+// result is float-exact.
+func (c *Controller) underCap(k, busy, total int) int {
+	cpus := c.Spec.CPUs
+	over := func(n int) bool { return float64(busy+n*cpus)/float64(total) > c.UtilCap }
+	n := k
+	if est := (c.UtilCap*float64(total) - float64(busy)) / float64(cpus); est < float64(k) {
+		n = int(max(est, 0))
+	}
+	for n > 0 && over(n) {
+		n--
+	}
+	for n < k && !over(n+1) {
+		n++
+	}
+	return n
+}
+
+// record builds the record of one interstitial job. Every interstitial
+// record passes through here: a spare record from Recycle is overwritten
+// whole, or a new one is allocated.
+//
+// Spares are reused oldest first. A fleet's merge hands them back in
+// retirement order, so jobs take records in the order they were first
+// allocated and the next merge reads them in nearly that memory order,
+// as it would fresh ones. Reusing the newest first scattered them: in
+// two traced fleet-64 passes the merge's digest fold took 0.22 and 0.26 s,
+// against 0.15 and 0.10 s oldest first.
+func (c *Controller) record(id int, runtime, overhead, now sim.Time) *job.Job {
+	var j *job.Job
+	if c.spareHead < len(c.spare) {
+		j = c.spare[c.spareHead]
+		c.spareHead++
+		// Reuse the queue's storage once the taken records fill half of
+		// it, copying no more than was taken.
+		if c.spareHead > len(c.spare)/2 {
+			c.spare, c.spareHead = c.spare[:copy(c.spare, c.spare[c.spareHead:])], 0
+		}
+	} else {
+		j = new(job.Job)
+	}
+	j.ResetInterstitial(id, c.Spec.CPUs, runtime, now)
+	j.Overhead = overhead
+	return j
+}
+
+// Recycle takes back a retired record for reuse as a later job's record.
+// The caller hands over its last reference: once recycled, the record may
+// become any later interstitial job of this controller. Recycle panics,
+// changing nothing, unless j is a Finished interstitial record and the
+// controller runs with DiscardRecords (otherwise Jobs still holds it). A
+// recycled record is marked Created, so recycling it twice panics.
+func (c *Controller) Recycle(j *job.Job) {
 	if !c.DiscardRecords {
-		c.Jobs = append(c.Jobs, j)
+		panic(fmt.Sprintf("core: recycling job %d on a controller that keeps its Jobs", j.ID))
 	}
-	return true
+	if j.Class != job.Interstitial || j.State != job.Finished {
+		panic(fmt.Sprintf("core: recycling %s job %d in state %v; only finished interstitial records retire", j.Class, j.ID, j.State))
+	}
+	j.State = job.Created
+	c.spare = append(c.spare, j)
 }
 
 // Makespan reports lastFinish - StartAt for a completed finite project. It

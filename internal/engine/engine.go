@@ -45,8 +45,11 @@ type Simulator struct {
 
 	// finishes registers each running job's armed finish event at the
 	// job's finishSlot; freeFinish lists the vacated entries for reuse.
-	finishes   []finishRec
-	freeFinish []int
+	// An entry is the finish event itself and keeps its address for the
+	// simulator's life, so arming a finish allocates nothing once the
+	// registry has grown to the running set's high-water mark.
+	finishes   []*finishRec
+	freeFinish []*finishRec
 	// finishBatch chains completion events that target one instant into a
 	// single kernel heap slot (see scheduleFinish).
 	finishBatch sim.Batch
@@ -76,6 +79,12 @@ type Simulator struct {
 	timedPassAt sim.Time
 	timedPass   sim.Handle
 
+	// The simulator's own kernel events, built once in New, so that
+	// arming a pass or the injector allocates nothing: the coalesced
+	// pass, the timed wake-up, an external RequestPassAt wake-up, and the
+	// injector.
+	passEv, timedPassEv, extPassEv, injectEv sim.Event
+
 	// dirty records whether any scheduler-visible state (queue, machine
 	// occupancy, fair-share charges) changed since the last pass ran;
 	// lastPassAt is that pass's instant. Together they let a pass event
@@ -99,13 +108,21 @@ type Simulator struct {
 	stats Stats
 }
 
-// finishRec is a running job's armed finish event plus its scheduling
-// stamp (see stampGen). A vacant entry has a nil job.
+// finishRec is a finish-registry entry: a running job's armed finish
+// event plus its scheduling stamp (see stampGen). The entry is the kernel
+// event, so the handle h names a scheduling of the entry itself. A vacant
+// entry has a nil job; a cancelled scheduling left in the kernel after the
+// entry was reused never fires, so reuse at the same instant is safe.
 type finishRec struct {
+	s     *Simulator
 	j     *job.Job
 	h     sim.Handle
 	stamp uint64
+	slot  int
 }
+
+// Execute completes the entry's job.
+func (r *finishRec) Execute(*sim.Engine) { r.s.finish(r) }
 
 // JobSource yields jobs in nondecreasing Submit order, one at a time.
 // workload.Stream satisfies it; any generator with the same ordering
@@ -153,7 +170,7 @@ type Stats struct {
 
 // New builds a simulator for the machine configuration and policy.
 func New(cfg machine.Config, pol sched.Policy) *Simulator {
-	return &Simulator{
+	s := &Simulator{
 		eng:         sim.New(),
 		m:           machine.New(cfg),
 		disp:        sched.NewDispatcher(pol),
@@ -163,6 +180,22 @@ func New(cfg machine.Config, pol sched.Policy) *Simulator {
 		lastPassAt:  -1,
 		extPasses:   make(map[sim.Time]struct{}),
 	}
+	s.passEv = sim.EventFunc(func(*sim.Engine) {
+		s.passPending = false
+		s.pass()
+	})
+	s.timedPassEv = sim.EventFunc(func(*sim.Engine) {
+		s.timedPassAt = sim.Infinity
+		s.pass()
+	})
+	// An external pass fires at the instant it was requested for, so the
+	// clock names its extPasses entry.
+	s.extPassEv = sim.EventFunc(func(*sim.Engine) {
+		delete(s.extPasses, s.eng.Now())
+		s.pass()
+	})
+	s.injectEv = sim.EventFunc(func(*sim.Engine) { s.injectPending() })
+	return s
 }
 
 // Machine exposes the simulated machine.
@@ -276,9 +309,7 @@ func (s *Simulator) scheduleInject() {
 	}
 	s.inject.Cancel()
 	s.injectAt = at
-	s.inject = s.eng.SchedulePrio(at, prioSubmit, sim.EventFunc(func(*sim.Engine) {
-		s.injectPending()
-	}))
+	s.inject = s.eng.SchedulePrio(at, prioSubmit, s.injectEv)
 }
 
 // injectPending moves every pending job whose time has come onto the
@@ -361,36 +392,43 @@ func (s *Simulator) scheduleFinish(j *job.Job) {
 	if !s.finishBatch.Bound() || s.finishBatch.At() != at {
 		s.finishBatch = s.eng.NewBatch(at, prioFinish)
 	}
-	h := s.finishBatch.Add(sim.EventFunc(func(*sim.Engine) {
-		s.dropFinish(j.FinishSlot())
-		s.m.Finish(s.eng.Now(), j)
-		s.disp.Policy().OnFinish(s.eng.Now(), j)
-		if s.retire != nil {
-			s.retire(j)
-		} else {
-			s.finished = append(s.finished, j)
-		}
-		s.dirty = true
-		if s.tracer != nil {
-			// A maintenance occupation ending is a capacity restore (outage
-			// repaired, kill-latency blocker released), not a job finish.
-			kind, reason := tracing.KindFinish, tracing.ReasonNone
-			if j.Class == job.Maintenance {
-				kind, reason = tracing.KindRestore, tracing.ReasonMaintenance
-			}
-			s.tracer.Emit(s.eng.Now(), kind, reason, j.ID, j.CPUs, s.m.Busy(), int64(j.Runtime))
-		}
-		s.requestPass()
-	}))
-	i := len(s.finishes)
+	var r *finishRec
 	if n := len(s.freeFinish); n > 0 {
-		i = s.freeFinish[n-1]
+		r = s.freeFinish[n-1]
 		s.freeFinish = s.freeFinish[:n-1]
 	} else {
-		s.finishes = append(s.finishes, finishRec{})
+		r = &finishRec{s: s, slot: len(s.finishes)}
+		s.finishes = append(s.finishes, r)
 	}
-	s.finishes[i] = finishRec{j: j, h: h, stamp: s.stampGen}
-	j.SetFinishSlot(i)
+	r.j, r.stamp = j, s.stampGen
+	r.h = s.finishBatch.Add(r)
+	j.SetFinishSlot(r.slot)
+}
+
+// finish is a running job's finish event: it vacates the job's registry
+// entry, completes the job and hands its record on.
+func (s *Simulator) finish(r *finishRec) {
+	j := r.j
+	s.dropFinish(r)
+	now := s.eng.Now()
+	s.m.Finish(now, j)
+	s.disp.Policy().OnFinish(now, j)
+	if s.retire != nil {
+		s.retire(j)
+	} else {
+		s.finished = append(s.finished, j)
+	}
+	s.dirty = true
+	if s.tracer != nil {
+		// A maintenance occupation ending is a capacity restore (outage
+		// repaired, kill-latency blocker released), not a job finish.
+		kind, reason := tracing.KindFinish, tracing.ReasonNone
+		if j.Class == job.Maintenance {
+			kind, reason = tracing.KindRestore, tracing.ReasonMaintenance
+		}
+		s.tracer.Emit(now, kind, reason, j.ID, j.CPUs, s.m.Busy(), int64(j.Runtime))
+	}
+	s.requestPass()
 }
 
 // finishOf returns j's registered finish event, checking by pointer that
@@ -401,13 +439,13 @@ func (s *Simulator) finishOf(j *job.Job) (*finishRec, bool) {
 	if i < 0 || i >= len(s.finishes) || s.finishes[i].j != j {
 		return nil, false
 	}
-	return &s.finishes[i], true
+	return s.finishes[i], true
 }
 
-// dropFinish vacates registry entry i for reuse.
-func (s *Simulator) dropFinish(i int) {
-	s.finishes[i] = finishRec{}
-	s.freeFinish = append(s.freeFinish, i)
+// dropFinish vacates registry entry r for reuse.
+func (s *Simulator) dropFinish(r *finishRec) {
+	r.j, r.h = nil, sim.Handle{}
+	s.freeFinish = append(s.freeFinish, r)
 }
 
 // Kill aborts a running job at the current instant: its finish event is
@@ -421,7 +459,7 @@ func (s *Simulator) Kill(j *job.Job) {
 		panic(fmt.Sprintf("engine: killing job %d that has no pending finish", j.ID))
 	}
 	rec.h.Cancel()
-	s.dropFinish(j.FinishSlot())
+	s.dropFinish(rec)
 	s.stats.Kills++
 	s.m.Release(s.eng.Now(), j)
 	s.dirty = true
@@ -434,10 +472,7 @@ func (s *Simulator) requestPass() {
 		return
 	}
 	s.passPending = true
-	s.eng.SchedulePrio(s.eng.Now(), prioPass, sim.EventFunc(func(*sim.Engine) {
-		s.passPending = false
-		s.pass()
-	}))
+	s.eng.SchedulePrio(s.eng.Now(), prioPass, s.passEv)
 }
 
 // pass runs one scheduling pass and the after-pass hook. A pass repeated
@@ -494,10 +529,7 @@ func (s *Simulator) RequestPassAt(t sim.Time) {
 	s.extPasses[t] = struct{}{}
 	// Independent of the internal reservation wake-up slot (which keeps
 	// only the earliest and may be superseded): this one always fires.
-	s.eng.SchedulePrio(t, prioPass, sim.EventFunc(func(*sim.Engine) {
-		delete(s.extPasses, t)
-		s.pass()
-	}))
+	s.eng.SchedulePrio(t, prioPass, s.extPassEv)
 }
 
 // schedulePassAt arranges a pass at time t, keeping only the earliest
@@ -508,10 +540,7 @@ func (s *Simulator) schedulePassAt(t sim.Time) {
 	}
 	s.timedPass.Cancel()
 	s.timedPassAt = t
-	s.timedPass = s.eng.SchedulePrio(t, prioPass, sim.EventFunc(func(*sim.Engine) {
-		s.timedPassAt = sim.Infinity
-		s.pass()
-	}))
+	s.timedPass = s.eng.SchedulePrio(t, prioPass, s.timedPassEv)
 }
 
 // SetContext arms cooperative cancellation on the underlying kernel: a

@@ -332,6 +332,40 @@ func TestKillAfterFinishPanics(t *testing.T) {
 	}
 }
 
+// TestKillThenReuseEntryCancelsOnlyTheKilled kills job A and, at the same
+// instant, starts job B in A's vacated finish-registry entry. The entry
+// is the finish event, so A's cancelled scheduling and B's live one name
+// the same entry: only A's must be cancelled. B is timed to finish with
+// A's old finish instant, and both finish events sit in one batch chain.
+func TestKillThenReuseEntryCancelsOnlyTheKilled(t *testing.T) {
+	s := New(cfg(10), sched.NewFCFS())
+	a := job.NewInterstitial(5, 4, 100, 0)
+	c := job.NewInterstitial(7, 2, 100, 0)
+	s.StartDirect(a)
+	s.StartDirect(c)
+	s.RunUntil(40)
+	slot := a.FinishSlot()
+	s.Kill(a)
+	b := job.NewInterstitial(6, 6, 60, 40)
+	s.StartDirect(b)
+	if b.FinishSlot() != slot {
+		t.Fatalf("b took finish entry %d, not a's vacated %d", b.FinishSlot(), slot)
+	}
+	s.Run()
+	if a.State != job.Killed || s.Stats().Kills != 1 {
+		t.Fatalf("a: state %v, kills %d; want killed once", a.State, s.Stats().Kills)
+	}
+	if b.State != job.Finished || b.Finish != 100 || c.State != job.Finished || c.Finish != 100 {
+		t.Fatalf("b finished %v at %d, c %v at %d; want both finished at 100", b.State, b.Finish, c.State, c.Finish)
+	}
+	if n := len(s.Finished()); n != 2 || s.Machine().Busy() != 0 {
+		t.Fatalf("%d finished, busy %d; want 2, 0", n, s.Machine().Busy())
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAccessorsAndSubmitNow(t *testing.T) {
 	s := New(cfg(10), sched.NewLSF())
 	if s.Policy().Name() != "LSF" {

@@ -22,8 +22,10 @@
 // barriers and only by the fleet goroutine at barriers; the router RNG is
 // consumed only at barriers, in shard/unit order; per-shard randomness
 // comes from rng.DeriveSeed streams. Records retire through the engine's
-// SetRetire path and are dropped after each merge, so a 100+ machine
-// fleet holds O(active jobs + one epoch's retirements) in memory.
+// SetRetire path and leave the fleet at the next merge, the last holder of
+// every record: it drops the natives and hands each interstitial record
+// back to its shard's controller for reuse. So a 100+ machine fleet holds
+// O(active jobs + one epoch's retirements) in memory.
 package federation
 
 import (
@@ -100,10 +102,6 @@ type Config struct {
 	// caller and every fn call (any WaitGroup/channel-based pool does).
 	// Output is byte-identical for every runner.
 	Runner func(n int, fn func(i int))
-	// Retire, when set, receives every retired record at the merge
-	// barrier, in shard-index order and per-shard completion order —
-	// the fleet-level streaming sink. Records are not retained after.
-	Retire func(shard int, j *job.Job)
 	// Tracer, when set, records every routing decision (KindRoute) and
 	// steal (KindSteal); it is used only at barriers. ShardTracer, when
 	// set, supplies each shard's engine tracer.
@@ -403,6 +401,8 @@ func (f *Fleet) interrupted() error {
 // merge folds every shard's epoch retirements into the fleet accumulators
 // in shard-index order — the single-threaded coordinator step that makes
 // the fleet-level retirement stream independent of shard execution order.
+// Nothing else holds a retired record, so each interstitial record goes
+// back to its shard's controller once folded (core.Controller.Recycle).
 func (f *Fleet) merge() {
 	for _, sh := range f.shards {
 		for _, j := range sh.buf {
@@ -420,11 +420,7 @@ func (f *Fleet) merge() {
 				if t, ok := sh.grants.pop(); ok {
 					f.unitLat.Add(float64(j.Finish - t))
 				}
-			}
-		}
-		if f.cfg.Retire != nil {
-			for _, j := range sh.buf {
-				f.cfg.Retire(sh.idx, j)
+				sh.ctrl.Recycle(j)
 			}
 		}
 		for i := range sh.buf {

@@ -22,6 +22,10 @@ type Dispatcher struct {
 	// valid only until the next Schedule call on this dispatcher — which
 	// covers its one consumer, the controller's same-pass AfterPass hook.
 	plan profile.Profile
+	// started is the arena PassResult.Started aliases, on the same terms
+	// as plan: its consumers, the engine arming finish events and the
+	// AfterPass hook, read it within the pass.
+	started []*job.Job
 
 	// orderEpoch/orderValid cache the policy epoch the queue's standing
 	// order was computed under (OrderingEpoch policies only).
@@ -48,6 +52,7 @@ func (d *Dispatcher) SetTracer(t *tracing.Tracer) { d.tracer = t }
 // PassResult reports what a scheduling pass did and the resulting plan.
 type PassResult struct {
 	// Started lists the jobs dispatched at this instant, in start order.
+	// It aliases the dispatcher's arena: valid until the next Schedule.
 	Started []*job.Job
 	// Backfilled counts how many of Started jumped the queue: starts that
 	// were not the head draining in priority order (EASY's backfill loop,
@@ -166,7 +171,7 @@ func (d *Dispatcher) Schedule(now sim.Time, m *machine.Machine, q *Queue) PassRe
 	// The rebuild only reads the machine's borrowed release timeline.
 	p := &d.plan
 	p.RebuildFromReleases(now, m.Free(), m.ReleasesBorrow())
-	res := PassResult{HeadReservation: sim.Infinity}
+	res := PassResult{Started: d.started[:0], HeadReservation: sim.Infinity}
 
 	switch d.policy.Backfill() {
 	case NoBackfill:
@@ -259,5 +264,6 @@ func (d *Dispatcher) Schedule(now sim.Time, m *machine.Machine, q *Queue) PassRe
 	}
 
 	res.Plan = p
+	d.started = res.Started
 	return res
 }
