@@ -133,32 +133,14 @@ type continualRun struct {
 	interstitial []*job.Job
 }
 
-// baselineEntry is a singleflight slot for one system's baseline. A
-// compute that panics poisons the slot: the panic value is stored and
-// re-raised to the computing caller and every waiter, so no caller ever
-// sees a half-built artifact (and sync.Once never runs the compute again).
-type baselineEntry struct {
-	once     sync.Once
-	b        *baseline
-	panicked any
-}
-
-// continualEntry is a singleflight slot for one continual run, poisoned
-// on panic like baselineEntry.
-type continualEntry struct {
-	once     sync.Once
-	r        *continualRun
-	panicked any
-}
-
 // Lab memoizes expensive shared artifacts across experiments. Lab methods
 // are safe for concurrent use, with per-key singleflight: the artifact map
-// lock is held only to resolve a key to its entry, and the entry's own
-// sync.Once computes the artifact. Distinct artifacts — different systems,
-// job specs, utilization caps — therefore compute fully concurrently,
-// while duplicate requests for the same key coalesce onto a single
-// computation. Precompute fans out a table's whole working set ahead of
-// rendering.
+// lock is held only to resolve a key to its memo, and the memo computes
+// the artifact (see memo: a waiter lends its pool slot, and a compute that
+// panics poisons the key). Distinct artifacts — different systems, job
+// specs, utilization caps — therefore compute fully concurrently, while
+// duplicate requests for the same key coalesce onto a single computation.
+// Precompute fans out a table's whole working set ahead of rendering.
 //
 // A Lab is a light handle over a shared core: the registry hands each
 // experiment a derived view (withCells) so work-cell counts attribute to
@@ -205,8 +187,8 @@ type labCore struct {
 	runSeq atomic.Uint64
 
 	mu        sync.Mutex // guards the maps, never held while computing
-	baselines map[string]*baselineEntry
-	continual map[continualKey]*continualEntry
+	baselines map[string]*memo[*baseline]
+	continual map[continualKey]*memo[*continualRun]
 	// traceFolded* remember the collector totals already folded into the
 	// metrics registry, so repeated folds (one per RunAll) add only deltas.
 	traceFoldedEmitted uint64
@@ -227,8 +209,8 @@ func NewLab(o Options) *Lab {
 		ctx:       o.Ctx,
 		pool:      newPool(o.Workers, met),
 		met:       met,
-		baselines: make(map[string]*baselineEntry),
-		continual: make(map[continualKey]*continualEntry),
+		baselines: make(map[string]*memo[*baseline]),
+		continual: make(map[continualKey]*memo[*continualRun]),
 	}}
 }
 
@@ -442,17 +424,7 @@ func (l *labCore) System(name string) testbed.System {
 // system. Concurrent callers for the same system coalesce onto one
 // computation; different systems compute in parallel.
 func (l *labCore) Baseline(name string) *baseline {
-	l.mu.Lock()
-	e, ok := l.baselines[name]
-	if !ok {
-		e = &baselineEntry{}
-		l.baselines[name] = e
-	}
-	l.mu.Unlock()
-	computed := false
-	e.once.Do(func() {
-		computed = true
-		defer func() { e.panicked = recover() }()
+	b, computed := memoFor(&l.mu, l.baselines, name).get(l.pool, func() *baseline {
 		l.baselineComputes.Add(1)
 		l.met.baselineComputes.Inc()
 		sys := l.System(name)
@@ -465,15 +437,12 @@ func (l *labCore) Baseline(name string) *baseline {
 		// sims are throwaway searches, not decisions anyone audits.
 		l.run(sys, ran, l.trace.Tracer("baseline/"+name, name, sys.Workload.Machine.CPUs))
 		util := stats.Utilization(ran, sys.Workload.Machine.CPUs, 0, sys.Workload.Duration())
-		e.b = &baseline{sys: sys, log: log, ran: ran, utilNat: util}
+		return &baseline{sys: sys, log: log, ran: ran, utilNat: util}
 	})
-	if e.panicked != nil {
-		panic(e.panicked)
-	}
 	if !computed {
 		l.met.baselineHits.Inc()
 	}
-	return e.b
+	return b
 }
 
 // Continual returns the memoized continual-interstitial run for a system
@@ -481,17 +450,7 @@ func (l *labCore) Baseline(name string) *baseline {
 // singleflight, like Baseline.
 func (l *labCore) Continual(name string, spec core.JobSpec, capPct int) *continualRun {
 	key := continualKey{system: name, cpus: spec.CPUs, runtime: spec.Runtime, cap: capPct}
-	l.mu.Lock()
-	e, ok := l.continual[key]
-	if !ok {
-		e = &continualEntry{}
-		l.continual[key] = e
-	}
-	l.mu.Unlock()
-	computed := false
-	e.once.Do(func() {
-		computed = true
-		defer func() { e.panicked = recover() }()
+	r, computed := memoFor(&l.mu, l.continual, key).get(l.pool, func() *continualRun {
 		l.continualComputes.Add(1)
 		l.met.continualComputes.Inc()
 		b := l.Baseline(name)
@@ -503,15 +462,12 @@ func (l *labCore) Continual(name string, spec core.JobSpec, capPct int) *continu
 		}
 		label := fmt.Sprintf("continual/%s/%dcpu-%ds-cap%02d", name, spec.CPUs, spec.Runtime, capPct)
 		l.run(b.sys, natives, l.trace.Tracer(label, name, b.sys.Workload.Machine.CPUs), ctrl.Attach)
-		e.r = &continualRun{natives: natives, interstitial: ctrl.Jobs}
+		return &continualRun{natives: natives, interstitial: ctrl.Jobs}
 	})
-	if e.panicked != nil {
-		panic(e.panicked)
-	}
 	if !computed {
 		l.met.continualHits.Inc()
 	}
-	return e.r
+	return r
 }
 
 // NativeBaseline exposes the lab's memoized baseline artifacts for one

@@ -94,7 +94,9 @@ func TestPrecomputeWarmsKeys(t *testing.T) {
 
 // TestPoolNestedForEachNoDeadlock exercises the nesting that RunAll
 // produces (experiment fan-out inside registry fan-out) on a tiny pool.
-// A blocking semaphore would deadlock here; tryAcquire must not.
+// A pool whose fan-outs blocked for a slot would deadlock here: every
+// goroutine would hold one while waiting for another. The caller always
+// works its own fan-out, and waits for stragglers lend their slot.
 func TestPoolNestedForEachNoDeadlock(t *testing.T) {
 	p := newPool(2, newLabMetrics())
 	var mu sync.Mutex

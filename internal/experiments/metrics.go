@@ -38,12 +38,13 @@ type labMetrics struct {
 	continualComputes *obs.Counter
 	continualHits     *obs.Counter
 
-	cells        *obs.Counter
-	cellsFailed  *obs.Counter
-	poolTasks    *obs.Counter
-	poolActive   *obs.Gauge
-	poolPeak     *obs.MaxGauge
-	poolInflated *obs.Counter
+	cells       *obs.Counter
+	cellsFailed *obs.Counter
+	poolTasks   *obs.Counter
+	poolActive  *obs.Gauge
+	poolPeak    *obs.MaxGauge
+	poolHelpers *obs.Counter
+	poolWaits   *obs.Counter
 
 	traceEmitted *obs.Counter
 	traceDropped *obs.Counter
@@ -83,12 +84,13 @@ func newLabMetrics() *labMetrics {
 		continualComputes: reg.Counter("lab_continual_computes_total", "continual runs actually computed"),
 		continualHits:     reg.Counter("lab_continual_hits_total", "continual requests served by singleflight memo"),
 
-		cells:        reg.Counter("exp_cells_total", "experiment work cells fanned onto the pool"),
-		cellsFailed:  reg.Counter("exp_cells_failed_total", "work cells (or experiment bodies) whose panic was converted to a CellError"),
-		poolTasks:    reg.Counter("pool_tasks_total", "tasks executed by the worker pool"),
-		poolActive:   reg.Gauge("pool_workers_active", "goroutines currently working a fan-out"),
-		poolPeak:     reg.MaxGauge("pool_workers_peak", "peak concurrent fan-out workers"),
-		poolInflated: reg.Counter("pool_helpers_total", "helper goroutines spawned by fan-outs"),
+		cells:       reg.Counter("exp_cells_total", "experiment work cells fanned onto the pool"),
+		cellsFailed: reg.Counter("exp_cells_failed_total", "work cells (or experiment bodies) whose panic was converted to a CellError"),
+		poolTasks:   reg.Counter("pool_tasks_total", "tasks executed by the worker pool"),
+		poolActive:  reg.Gauge("pool_workers_active", "helper goroutines alive"),
+		poolPeak:    reg.MaxGauge("pool_workers_peak", "most goroutines in the pool at once: one calling goroutine plus the helpers alive (at most Workers, plus one per goroutine blocked in a pool wait)"),
+		poolHelpers: reg.Counter("pool_helpers_total", "helper goroutines started"),
+		poolWaits:   reg.Counter("pool_waits_total", "fan-out joins and memo waits that blocked, lending their slot to a helper"),
 
 		traceEmitted: reg.Counter("trace_events_emitted_total", "scheduler decision events emitted by tracing"),
 		traceDropped: reg.Counter("trace_events_dropped_total", "emitted trace events discarded by the sample budget"),

@@ -25,14 +25,8 @@ type Registry struct {
 	// outside a spanned RunAll.
 	spanRoot atomic.Pointer[span.Active]
 
-	t2Once sync.Once
-	t2     *Table2Result
-	t2Err  error
-	t2Pan  any
-
-	t4Once sync.Once
-	t4     *Table4Result
-	t4Pan  any
+	t2 memo[table2Out]
+	t4 memo[*Table4Result]
 
 	mu     sync.Mutex
 	custom map[string]func(*Lab) (Renderer, error)
@@ -79,36 +73,36 @@ func AllNames() []string {
 	return names
 }
 
+// table2Out is the memoized Table 2 sweep's result.
+type table2Out struct {
+	res *Table2Result
+	err error
+}
+
 // table2 memoizes the omniscient sweep (singleflight). A panicking sweep
 // poisons the memo: the panic re-raises to the computing caller and every
 // waiter, so each dependent experiment reports the same failure instead of
 // consuming a half-built result.
 func (g *Registry) table2() (*Table2Result, error) {
-	g.t2Once.Do(func() {
-		defer func() { g.t2Pan = recover() }()
+	out, _ := g.t2.get(g.lab.pool, func() table2Out {
 		sp := g.spanRoot.Load().Child("shared.table2", 0, 0)
-		g.t2, g.t2Err = Table2(g.lab.withCells("", nil, sp))
+		res, err := Table2(g.lab.withCells("", nil, sp))
 		sp.End(0)
+		return table2Out{res, err}
 	})
-	if g.t2Pan != nil {
-		panic(g.t2Pan)
-	}
-	return g.t2, g.t2Err
+	return out.res, out.err
 }
 
 // table4 memoizes the fallible short-term sweep (singleflight), poisoned
 // on panic like table2.
 func (g *Registry) table4() *Table4Result {
-	g.t4Once.Do(func() {
-		defer func() { g.t4Pan = recover() }()
+	res, _ := g.t4.get(g.lab.pool, func() *Table4Result {
 		sp := g.spanRoot.Load().Child("shared.table4", 0, 0)
-		g.t4 = Table4(g.lab.withCells("", nil, sp))
+		res := Table4(g.lab.withCells("", nil, sp))
 		sp.End(0)
+		return res
 	})
-	if g.t4Pan != nil {
-		panic(g.t4Pan)
-	}
-	return g.t4
+	return res
 }
 
 // Run executes one experiment by name.
