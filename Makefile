@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover bench bench-sched bench-fed bench-kernel bench-omni fuzz paper extensions examples trace-demo clean
+.PHONY: all build test cover bench bench-sched bench-fed bench-kernel bench-omni fuzz paper extensions golden examples trace-demo clean
 
 all: build test
 
@@ -91,13 +91,24 @@ fuzz:
 	$(GO) test -fuzz FuzzMachineReleases -fuzztime 30s ./internal/machine/
 	$(GO) test -fuzz FuzzFairShareTree -fuzztime 30s ./internal/fairshare/
 
-# Regenerate the paper at full scale and the extension studies (5–6 s and
-# 51–57 s with 2 workers on a shared 2-vCPU Xeon VM).
+# Regenerate the paper at full scale and the extension studies (2.1–2.4 s
+# at a peak RSS of 350–410 MB, and 37–48 s at 3.2–3.5 GB, with 2 workers
+# on a shared 2-vCPU Xeon VM).
 paper:
 	$(GO) run ./cmd/experiments
 
 extensions:
 	$(GO) run ./cmd/experiments extensions
+
+# Rewrite the committed seed-1 paper-scale outputs of both suites, less
+# their last line (the run time). CI regenerates them and compares. A
+# failed run stops before it overwrites its file.
+golden:
+	$(GO) run ./cmd/experiments -workers 2 > golden.tmp
+	sed '$$d' golden.tmp > testdata/golden/paper.txt
+	$(GO) run ./cmd/experiments -workers 2 extensions > golden.tmp
+	sed '$$d' golden.tmp > testdata/golden/extensions.txt
+	rm -f golden.tmp
 
 examples:
 	@for e in quickstart paramsweep capacityplan omniscient preemption swfreplay; do \
@@ -126,4 +137,4 @@ trace-demo:
 # step fails if one is ever tracked.
 clean:
 	rm -f cover.out cover.out.tmp cover*.out coverage*.out *.coverprofile \
-		BENCH_*.txt trace_demo.*
+		BENCH_*.txt trace_demo.* golden.tmp

@@ -3,10 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
 	"interstitial/internal/core"
 	"interstitial/internal/job"
+	"interstitial/internal/sim"
 	"interstitial/internal/stats"
 	"interstitial/internal/testbed"
 	"interstitial/internal/workload"
@@ -66,7 +68,7 @@ func ContinualTable(l *Lab, name string) *ContinualResult {
 	for _, spec := range []core.JobSpec{shortSpec, longSpec} {
 		run := l.Continual(name, spec, 0)
 		label := fmt.Sprintf("32CPU × %ds", spec.Runtime)
-		res.Columns = append(res.Columns, l.continualColumn(name, label, run.natives, run.interstitial))
+		res.Columns = append(res.Columns, l.continualColumn(name, label, run.natives, run.records(nil)))
 	}
 	return res
 }
@@ -131,10 +133,10 @@ func Table8Limited(l *Lab) *Table8LimitedResult {
 	)
 	// Uncapped reference first.
 	run := l.Continual(name, spec, 0)
-	res.Columns = append(res.Columns, l.continualColumn(name, "uncapped", run.natives, run.interstitial))
+	res.Columns = append(res.Columns, l.continualColumn(name, "uncapped", run.natives, run.records(nil)))
 	for _, cap := range res.Caps {
 		run := l.Continual(name, spec, cap)
-		res.Columns = append(res.Columns, l.continualColumn(name, fmt.Sprintf("util < %d%%", cap), run.natives, run.interstitial))
+		res.Columns = append(res.Columns, l.continualColumn(name, fmt.Sprintf("util < %d%%", cap), run.natives, run.records(nil)))
 	}
 	return res
 }
@@ -156,8 +158,14 @@ func Figure4(l *Lab) *Figure4Result {
 	run := l.Continual(name, spec, 0)
 	return &Figure4Result{
 		Without: stats.HourlySeries(b.ran, n, horizon, 3600),
-		With:    stats.HourlySeries(run.all(), n, horizon, 3600),
+		With:    run.hourlySeries(n, horizon),
 	}
+}
+
+// hourlySeries is Figure 4's "with" series: the hourly utilization of the
+// run's natives and interstitial records together, natives first.
+func (r *continualRun) hourlySeries(n int, horizon sim.Time) []float64 {
+	return stats.HourlySeries(r.records(slices.Clone(r.natives)), n, horizon, 3600)
 }
 
 // Render prints summary statistics and strip charts of both series.

@@ -427,7 +427,7 @@ func TestSampleShortTerm(t *testing.T) {
 	spec := Table4Rows()[0]
 	p := l.Options().scaledProject(coreSpec(spec))
 	run := l.Continual("Blue Mountain", p.JobSpecFor(b.sys.Workload.Machine.ClockGHz), 0)
-	if len(run.interstitial) < 10 {
+	if len(run.starts) < 10 {
 		t.Skip("too few interstitial jobs at this scale")
 	}
 	ms, ok := sampleShortTerm(run, 0, 10)
@@ -435,7 +435,7 @@ func TestSampleShortTerm(t *testing.T) {
 		t.Fatalf("sample = %d,%v", ms, ok)
 	}
 	// Asking beyond the log's supply fails cleanly.
-	if _, ok := sampleShortTerm(run, 0, len(run.interstitial)+1); ok {
+	if _, ok := sampleShortTerm(run, 0, len(run.starts)+1); ok {
 		t.Fatal("oversized project sampled")
 	}
 	// Later windows can only see fewer jobs.

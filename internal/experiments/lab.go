@@ -17,6 +17,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -127,10 +128,14 @@ type continualKey struct {
 	cap     int // UtilCap in percent; 0 = uncapped
 }
 
-// continualRun is a finished continual-interstitial simulation.
+// continualRun is a finished continual-interstitial simulation. Every
+// interstitial job in it has spec's CPUs and runtime and starts the moment
+// it is submitted, so the run keeps only their start instants, in start
+// order; records rebuilds the records from them.
 type continualRun struct {
-	natives      []*job.Job
-	interstitial []*job.Job
+	natives []*job.Job
+	spec    core.JobSpec
+	starts  []sim.Time
 }
 
 // Lab memoizes expensive shared artifacts across experiments. Lab methods
@@ -454,15 +459,16 @@ func (l *labCore) Continual(name string, spec core.JobSpec, capPct int) *continu
 		l.continualComputes.Add(1)
 		l.met.continualComputes.Inc()
 		b := l.Baseline(name)
-		natives := job.CloneAll(b.log)
+		run := &continualRun{natives: job.CloneAll(b.log), spec: spec}
 		ctrl := core.NewController(spec)
 		ctrl.StopAt = b.sys.Workload.Duration()
+		ctrl.DiscardRecords = true
 		if capPct > 0 {
 			ctrl.UtilCap = float64(capPct) / 100
 		}
 		label := fmt.Sprintf("continual/%s/%dcpu-%ds-cap%02d", name, spec.CPUs, spec.Runtime, capPct)
-		l.run(b.sys, natives, l.trace.Tracer(label, name, b.sys.Workload.Machine.CPUs), ctrl.Attach)
-		return &continualRun{natives: natives, interstitial: ctrl.Jobs}
+		l.run(b.sys, run.natives, l.trace.Tracer(label, name, b.sys.Workload.Machine.CPUs), ctrl.Attach, run.keepStarts(ctrl))
+		return run
 	})
 	if !computed {
 		l.met.continualHits.Inc()
@@ -535,12 +541,43 @@ func (l *Lab) Precompute(keys ...Key) {
 	})
 }
 
-// all returns natives + interstitial records of a continual run.
-func (r *continualRun) all() []*job.Job {
-	out := make([]*job.Job, 0, len(r.natives)+len(r.interstitial))
-	out = append(out, r.natives...)
-	out = append(out, r.interstitial...)
-	return out
+// keepStarts is the attach function that records a continual run. Its
+// retire hook keeps each interstitial job's start instant and hands the
+// record straight back to ctrl for reuse; natives stay in r.natives. Jobs
+// of one runtime retire in start order, so starts comes out sorted. The
+// finish trace event that follows the hook reads only the record's ID,
+// CPUs and runtime, which Recycle leaves alone.
+func (r *continualRun) keepStarts(ctrl *core.Controller) func(*engine.Simulator) error {
+	return func(sm *engine.Simulator) error {
+		sm.SetRetire(func(j *job.Job) {
+			if j.Class != job.Interstitial {
+				return
+			}
+			if j.Finish != j.Start+r.spec.Runtime {
+				panic(fmt.Sprintf("experiments: continual job %d ran [%d, %d), not %d s", j.ID, j.Start, j.Finish, r.spec.Runtime))
+			}
+			r.starts = append(r.starts, j.Start)
+			ctrl.Recycle(j)
+		})
+		return nil
+	}
+}
+
+// records appends to dst the run's interstitial records, rebuilt from its
+// starts in one slab: each is Finished, with the spec's CPUs and runtime,
+// submitted and started at its start instant. The simulation's job IDs
+// are not kept. The records are for a summary to read and drop; the run
+// holds only the starts.
+func (r *continualRun) records(dst []*job.Job) []*job.Job {
+	slab := make([]job.Job, len(r.starts))
+	dst = slices.Grow(dst, len(r.starts))
+	for i, s := range r.starts {
+		j := &slab[i]
+		j.ResetInterstitial(0, r.spec.CPUs, r.spec.Runtime, s)
+		j.Start, j.Finish, j.State = s, s+r.spec.Runtime, job.Finished
+		dst = append(dst, j)
+	}
+	return dst
 }
 
 // randomStarts draws n project start times uniformly over the first frac

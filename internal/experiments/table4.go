@@ -56,14 +56,15 @@ type Table4Result struct {
 // simulating each short project separately, pick a random start t1 in the
 // continual log and report when the K-th interstitial job starting at or
 // after t1 finishes. Identical runtimes make finish order equal start
-// order, so this is an O(1) suffix lookup.
+// order, so this is a binary search over the run's sorted starts: the
+// K-th such job finishes one runtime after it starts.
 func sampleShortTerm(run *continualRun, t1 sim.Time, k int) (sim.Time, bool) {
-	jobs := run.interstitial // already in start order
-	i := sort.Search(len(jobs), func(x int) bool { return jobs[x].Start >= t1 })
-	if i+k > len(jobs) {
+	starts := run.starts
+	i := sort.Search(len(starts), func(x int) bool { return starts[x] >= t1 })
+	if i+k > len(starts) {
 		return 0, false
 	}
-	return jobs[i+k-1].Finish - t1, true
+	return starts[i+k-1] + run.spec.Runtime - t1, true
 }
 
 // Table4 runs the sweep on Blue Mountain and Blue Pacific.
@@ -165,27 +166,23 @@ type Figure3Result struct {
 	TheoryUtilH float64
 }
 
+// Figure 3's two configurations: their indexes in Table4Rows.
+const (
+	figure3Short = 4 // 123 Pc, 32k × 32 CPUs × 120 s@1GHz
+	figure3Long  = 5 // 123 Pc, 4k × 32 CPUs × 960 s@1GHz
+)
+
 // Figure3 extracts the CDFs from the Table 4 sampling on Blue Mountain.
+// The theory lines size the project as Table 4 ran it, so they follow
+// the lab's scale, which never grows a project above paper size.
 func Figure3(l *Lab, t4 *Table4Result) *Figure3Result {
 	b := l.Baseline("Blue Mountain")
 	mc := b.sys.Workload.Machine
-	res := &Figure3Result{}
-	for i, row := range t4.Rows {
-		if row.CPUs != 32 {
-			continue
-		}
-		cell := t4.Cells[i][0] // Blue Mountain column
-		// Pick the 123-Pc pair (after scaling, identified by sec@1GHz).
-		if row.PetaCycles < 100*l.Options().Scale {
-			continue
-		}
-		if row.Sec1GHz < 500 {
-			res.ShortJobs = cell.Samples
-		} else {
-			res.LongJobs = cell.Samples
-		}
+	res := &Figure3Result{
+		ShortJobs: t4.Cells[figure3Short][0].Samples, // Blue Mountain column
+		LongJobs:  t4.Cells[figure3Long][0].Samples,
 	}
-	p := 123 * l.Options().Scale
+	p := t4.Rows[figure3Short].PetaCycles
 	capacity := float64(mc.CPUs) * mc.ClockGHz * 1e9
 	res.TheoryMinH = p * 1e15 / capacity / 3600
 	res.TheoryUtilH = p * 1e15 / (capacity * (1 - b.utilNat)) / 3600
