@@ -63,11 +63,11 @@ bench-fed:
 		-benchmem -count $(BENCHCOUNT) ./internal/federation/
 
 # Kernel microbenchmarks — the raw event loop, churny cancellation, the
-# chained same-instant drain, and the two intra-run-parallelism cells the
-# sharded kernel work targets. All five sit in the CI benchgate guarded
-# set; this target is the local loop for kernel changes.
+# chained same-instant drain, and the job-width ablation end to end. All
+# four sit in the CI benchgate guarded set; this target is the local loop
+# for kernel changes.
 bench-kernel:
-	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel$$|BenchmarkSimKernelChurn$$|BenchmarkScheduleBatch$$|BenchmarkIntraCellShards$$|BenchmarkAblationJobWidth$$)' \
+	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel$$|BenchmarkSimKernelChurn$$|BenchmarkScheduleBatch$$|BenchmarkAblationJobWidth$$)' \
 		-benchmem -count $(BENCHCOUNT) .
 
 # Omniscient packing end to end: one uncached advisor sweep on a warm lab
@@ -92,7 +92,7 @@ fuzz:
 	$(GO) test -fuzz FuzzFairShareTree -fuzztime 30s ./internal/fairshare/
 
 # Regenerate the paper at full scale and the extension studies (2.1–2.4 s
-# at a peak RSS of 350–410 MB, and 37–48 s at 3.2–3.5 GB, with 2 workers
+# at a peak RSS of 350–410 MB, and 30–38 s at 4.3 GB, with 2 workers
 # on a shared 2-vCPU Xeon VM).
 paper:
 	$(GO) run ./cmd/experiments

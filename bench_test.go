@@ -291,15 +291,6 @@ func BenchmarkScheduleBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N)*bursts*(width+1)/b.Elapsed().Seconds(), "events/sec")
 }
 
-// BenchmarkIntraCellShards measures the sharded single-scenario path: one
-// continual experiment split across 8 per-machine shards on the lab pool.
-func BenchmarkIntraCellShards(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		lab := experiments.NewLab(benchOpts())
-		renderTo(b, experiments.IntraCellShards(lab, 8))
-	}
-}
-
 // BenchmarkLabParallel exercises the warmup path: Precompute fans a
 // table's whole working set (three baselines plus four continual runs)
 // across the worker pool before anything is rendered.

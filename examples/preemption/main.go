@@ -41,12 +41,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var harvested float64
+		// Every finished record, fresh or the continuation of a killed
+		// one, completes exactly one work unit; a killed record none.
+		units := 0
 		for _, j := range res.Jobs {
 			if j.State == job.Finished {
-				harvested += j.CPUSeconds()
+				units++
 			}
 		}
+		harvested := float64(units) * float64(spec.CPUs) * float64(spec.Runtime)
 		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%.0f\n",
 			v.label, res.KilledJobs, res.WastedCPUSeconds/3600, harvested/3600, medianWait(res.Natives))
 	}

@@ -56,34 +56,27 @@ func (r *AblationResult) Render(w io.Writer) error {
 	return tw.Flush()
 }
 
-// runScenario co-simulates log on sys, traced as label, with a continual
-// controller for spec stopped at the horizon, capped at capUtil (0: no
-// cap) and preempting under pre (nil: the paper's jobs), or natives only
-// when spec.CPUs is 0. It returns the run's ablation row, whose harvest
-// is net of the work kills wasted, and the controller (nil if none).
-func runScenario(l *Lab, label string, sys testbed.System, log []*job.Job, spec core.JobSpec, capUtil float64, pre *core.Preemption) (ablationRow, *core.Controller) {
-	natives := job.CloneAll(log)
-	horizon := sys.Workload.Duration()
-	if spec.CPUs == 0 {
-		l.run(sys, natives, l.scenarioTracer(label, sys))
-		return ablationRowOf(label, 0, stats.ImpactOf(natives, nil, sys.Workload.Machine.CPUs, horizon)), nil
+// runScenario co-simulates log on sys, traced as label, with ctrl, a
+// continual controller (see continualOn), or natives only when ctrl is
+// nil, and returns the run's ablation row.
+func runScenario(l *Lab, label string, sys testbed.System, log []*job.Job, ctrl *core.Controller) ablationRow {
+	tr := l.scenarioTracer(label, sys)
+	if ctrl == nil {
+		natives := job.CloneAll(log)
+		l.run(sys, natives, tr)
+		return ablationRowOf(label, sys, natives, nil)
 	}
-	ctrl := core.NewController(spec)
-	ctrl.StopAt = horizon
-	ctrl.UtilCap = capUtil
-	ctrl.Preempt = pre
-	l.run(sys, natives, l.scenarioTracer(label, sys), ctrl.Attach)
-	imp := stats.ImpactOf(natives, ctrl.Jobs, sys.Workload.Machine.CPUs, horizon)
-	row := ablationRowOf(label, len(ctrl.Jobs), imp)
-	row.HarvestedCPUh = (imp.Harvested - ctrl.WastedCPUSeconds) / 3600
-	return row, ctrl
+	run := l.continualOn(sys, log, tr, ctrl)
+	return ablationRowOf(label, sys, run.natives, run.records(nil))
 }
 
-// ablationRowOf condenses a co-simulation's native impact into a row.
-func ablationRowOf(label string, interstitialJobs int, imp stats.Impact) ablationRow {
+// ablationRowOf condenses the native impact of a co-simulation on sys,
+// natives beside the interstitial records inter, into a row.
+func ablationRowOf(label string, sys testbed.System, natives, inter []*job.Job) ablationRow {
+	imp := stats.ImpactOf(natives, inter, sys.Workload.Machine.CPUs, sys.Workload.Duration())
 	return ablationRow{
 		Label:            label,
-		InterstitialJobs: interstitialJobs,
+		InterstitialJobs: len(inter),
 		HarvestedCPUh:    imp.Harvested / 3600,
 		OverallUtil:      imp.OverallUtil,
 		NativeUtil:       imp.NativeUtil,
@@ -121,7 +114,7 @@ func AblationEstimates(l *Lab) *AblationResult {
 				v.mut(j)
 			}
 		}
-		res.Rows[i], _ = runScenario(l, v.label, b.sys, log, spec, 0, nil)
+		res.Rows[i] = runScenario(l, v.label, b.sys, log, core.NewController(spec))
 	})
 	return res
 }
@@ -152,9 +145,9 @@ func AblationBackfill(l *Lab) *AblationResult {
 		sys := b.sys
 		sys.NewPolicy = v.pol
 		if i%2 == 0 {
-			res.Rows[i], _ = runScenario(l, v.label+" native-only", sys, b.log, core.JobSpec{}, 0, nil)
+			res.Rows[i] = runScenario(l, v.label+" native-only", sys, b.log, nil)
 		} else {
-			res.Rows[i], _ = runScenario(l, v.label+" +interstitial", sys, b.log, spec, 0, nil)
+			res.Rows[i] = runScenario(l, v.label+" +interstitial", sys, b.log, core.NewController(spec))
 		}
 	})
 	return res
@@ -177,7 +170,7 @@ func AblationBurstiness(l *Lab) *AblationResult {
 		sys.Workload.Burstiness = bursts[i]
 		log := workload.MustGenerate(sys.Workload, o.Seed)
 		spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)}
-		res.Rows[i], _ = runScenario(l, fmt.Sprintf("burstiness %.1f", bursts[i]), sys, log, spec, 0, nil)
+		res.Rows[i] = runScenario(l, fmt.Sprintf("burstiness %.1f", bursts[i]), sys, log, core.NewController(spec))
 	})
 	return res
 }
@@ -195,7 +188,7 @@ func AblationJobLength(l *Lab) *AblationResult {
 	res.Rows = make([]ablationRow, len(secs))
 	l.fanout(len(secs), func(i int) {
 		spec := core.JobSpec{CPUs: 32, Runtime: b.sys.Seconds1GHz(secs[i])}
-		res.Rows[i], _ = runScenario(l, fmt.Sprintf("%.0fs@1GHz (%ds)", secs[i], spec.Runtime), b.sys, b.log, spec, 0, nil)
+		res.Rows[i] = runScenario(l, fmt.Sprintf("%.0fs@1GHz (%ds)", secs[i], spec.Runtime), b.sys, b.log, core.NewController(spec))
 	})
 	return res
 }
@@ -205,9 +198,16 @@ func AblationJobLength(l *Lab) *AblationResult {
 // yield to the native head, with and without checkpointing, against the
 // paper's non-preemptive baseline. Uses the *long* interstitial jobs,
 // where non-preemptive native damage is worst.
+//
+// It is the one ablation whose controller keeps its records: killed
+// records never retire, and continuations run shorter than spec, so the
+// run cannot be kept as start instants (see continualOn). Its harvest is
+// the work units completed in-log: every Finished record, fresh or a
+// continuation, completes exactly one, and a killed record none.
 func AblationPreemption(l *Lab) *AblationResult {
 	b := l.Baseline("Blue Mountain")
 	spec := core.JobSpec{CPUs: 32, Runtime: b.sys.Seconds1GHz(960)}
+	horizon := b.sys.Workload.Duration()
 	res := &AblationResult{
 		Title: "Ablation: preemption & checkpointing (Blue Mountain, continual 32CPU × 960s@1GHz)",
 		Note:  "beyond the paper: killed jobs lose work back to their last checkpoint",
@@ -223,8 +223,20 @@ func AblationPreemption(l *Lab) *AblationResult {
 	}
 	res.Rows = make([]ablationRow, len(variants))
 	l.fanout(len(variants), func(i int) {
-		row, ctrl := runScenario(l, variants[i].label, b.sys, b.log, spec, 0, variants[i].pre)
-		row.Label = fmt.Sprintf("%s [kills=%d wasted=%.0f CPUh]", row.Label, ctrl.KilledJobs, ctrl.WastedCPUSeconds/3600)
+		v := variants[i]
+		natives := job.CloneAll(b.log)
+		ctrl := core.NewController(spec)
+		ctrl.StopAt = horizon
+		ctrl.Preempt = v.pre
+		l.run(b.sys, natives, l.scenarioTracer(v.label, b.sys), ctrl.Attach)
+		row := ablationRowOf(fmt.Sprintf("%s [kills=%d wasted=%.0f CPUh]", v.label, ctrl.KilledJobs, ctrl.WastedCPUSeconds/3600), b.sys, natives, ctrl.Jobs)
+		units := 0
+		for _, j := range ctrl.Jobs {
+			if j.State == job.Finished && j.Finish <= horizon {
+				units++
+			}
+		}
+		row.HarvestedCPUh = float64(units) * float64(spec.CPUs) * float64(spec.Runtime) / 3600
 		res.Rows[i] = row
 	})
 	return res
@@ -258,14 +270,10 @@ func AblationPrediction(l *Lab) *AblationResult {
 		sys := b.sys
 		inner := sys.NewPolicy
 		sys.NewPolicy = func() sched.Policy { return predict.Wrap(inner(), pred) }
-		natives := job.CloneAll(b.log)
-		horizon := sys.Workload.Duration()
-		ctrl := core.NewController(spec)
-		ctrl.StopAt = horizon
-		l.run(sys, natives, l.scenarioTracer(v.label, sys), ctrl.Attach)
-		geo, under := predict.Accuracy(natives)
+		run := l.continualOn(sys, b.log, l.scenarioTracer(v.label, sys), core.NewController(spec))
+		geo, under := predict.Accuracy(run.natives)
 		res.Rows[i] = ablationRowOf(fmt.Sprintf("%s [est/actual geo=%.1fx under=%.0f%%]", v.label, geo, under*100),
-			len(ctrl.Jobs), stats.ImpactOf(natives, ctrl.Jobs, sys.Workload.Machine.CPUs, horizon))
+			sys, run.natives, run.records(nil))
 	})
 	return res
 }
@@ -298,13 +306,9 @@ func AblationGuard(l *Lab) *AblationResult {
 		if ignore {
 			label = pol.label + ", guard OFF"
 		}
-		natives := job.CloneAll(b.log)
-		horizon := sys.Workload.Duration()
 		ctrl := core.NewController(spec)
-		ctrl.StopAt = horizon
 		ctrl.IgnorePlan = ignore
-		l.run(sys, natives, l.scenarioTracer(label, sys), ctrl.Attach)
-		res.Rows[i] = ablationRowOf(label, len(ctrl.Jobs), stats.ImpactOf(natives, ctrl.Jobs, sys.Workload.Machine.CPUs, horizon))
+		res.Rows[i] = runScenario(l, label, sys, b.log, ctrl)
 	})
 	return res
 }
@@ -322,7 +326,7 @@ func AblationJobWidth(l *Lab) *AblationResult {
 	res.Rows = make([]ablationRow, len(widths))
 	l.fanout(len(widths), func(i int) {
 		spec := core.JobSpec{CPUs: widths[i], Runtime: b.sys.Seconds1GHz(120)}
-		res.Rows[i], _ = runScenario(l, fmt.Sprintf("%d CPUs/job", widths[i]), b.sys, b.log, spec, 0, nil)
+		res.Rows[i] = runScenario(l, fmt.Sprintf("%d CPUs/job", widths[i]), b.sys, b.log, core.NewController(spec))
 	})
 	return res
 }
@@ -345,7 +349,7 @@ func UtilizationSweep(l *Lab) *AblationResult {
 		sys.Workload.TargetUtil = utils[i]
 		log := workload.MustGenerate(sys.Workload, o.Seed)
 		spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)}
-		res.Rows[i], _ = runScenario(l, fmt.Sprintf("native load %.2f", utils[i]), sys, log, spec, 0, nil)
+		res.Rows[i] = runScenario(l, fmt.Sprintf("native load %.2f", utils[i]), sys, log, core.NewController(spec))
 	})
 	return res
 }
@@ -364,7 +368,9 @@ func AblationCapSweep(l *Lab) *AblationResult {
 		if caps[i] == 0 {
 			label = "uncapped"
 		}
-		res.Rows[i], _ = runScenario(l, label, b.sys, b.log, spec, caps[i], nil)
+		ctrl := core.NewController(spec)
+		ctrl.UtilCap = caps[i]
+		res.Rows[i] = runScenario(l, label, b.sys, b.log, ctrl)
 	})
 	return res
 }

@@ -202,23 +202,18 @@ func Figure4Outages(l *Lab) *Figure4Result {
 
 	// The with/without runs are independent simulations of the same log:
 	// run both sides concurrently.
-	var baseline, all []*job.Job
+	res := &Figure4Result{}
 	l.fanout(2, func(i int) {
 		if i == 0 {
-			baseline = job.CloneAll(log)
-			l.run(sys, baseline, l.scenarioTracer("without", sys))
+			natives := job.CloneAll(log)
+			l.run(sys, natives, l.scenarioTracer("without", sys))
+			res.Without = stats.HourlySeries(natives, n, horizon, 3600)
 			return
 		}
-		withJobs := job.CloneAll(log)
 		ctrl := core.NewController(core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)})
-		ctrl.StopAt = horizon
-		l.run(sys, withJobs, l.scenarioTracer("with", sys), ctrl.Attach)
-		all = append(append([]*job.Job{}, withJobs...), ctrl.Jobs...)
+		res.With = l.continualOn(sys, log, l.scenarioTracer("with", sys), ctrl).hourlySeries(n, horizon)
 	})
-	return &Figure4Result{
-		Without: stats.HourlySeries(baseline, n, horizon, 3600),
-		With:    stats.HourlySeries(all, n, horizon, 3600),
-	}
+	return res
 }
 
 // WaitHistogramResult reproduces Figures 5 and 6: the distribution of

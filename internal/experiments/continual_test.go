@@ -8,23 +8,30 @@ import (
 
 	"interstitial/internal/core"
 	"interstitial/internal/job"
+	"interstitial/internal/sched"
 	"interstitial/internal/sim"
 	"interstitial/internal/stats"
+	"interstitial/internal/testbed"
+	"interstitial/internal/workload"
 )
 
-// referenceContinual reruns a continual simulation with a controller that
-// keeps every interstitial record on its Jobs, as Lab.Continual did before
-// it kept only start instants. It returns the natives and those records.
-func referenceContinual(l *Lab, name string, spec core.JobSpec, capPct int) (natives, inter []*job.Job) {
-	b := l.Baseline(name)
-	natives = job.CloneAll(b.log)
-	ctrl := core.NewController(spec)
-	ctrl.StopAt = b.sys.Workload.Duration()
-	if capPct > 0 {
-		ctrl.UtilCap = float64(capPct) / 100
-	}
-	l.run(b.sys, natives, nil, ctrl.Attach)
+// referenceContinual reruns a continual simulation of log on sys with
+// ctrl, which keeps every interstitial record on its Jobs, as the lab's
+// continual runs did before they kept only start instants. It returns the
+// natives and those records.
+func referenceContinual(l *Lab, sys testbed.System, log []*job.Job, ctrl *core.Controller) (natives, inter []*job.Job) {
+	natives = job.CloneAll(log)
+	ctrl.StopAt = sys.Workload.Duration()
+	l.run(sys, natives, nil, ctrl.Attach)
 	return natives, ctrl.Jobs
+}
+
+// cappedController is a continual controller for spec capped at capPct
+// percent utilization (0: uncapped), as Lab.Continual builds it.
+func cappedController(spec core.JobSpec, capPct int) *core.Controller {
+	ctrl := core.NewController(spec)
+	ctrl.UtilCap = float64(capPct) / 100
+	return ctrl
 }
 
 // referenceSample is sampleShortTerm over records: the finish of the k-th
@@ -44,6 +51,9 @@ func referenceSample(jobs []*job.Job, t1 sim.Time, k int) (sim.Time, bool) {
 // the records a controller that keeps them produces for the same
 // simulation: same starts, records that finish one runtime after they
 // start, and equal Table 4 samples, table columns and Figure 4 series.
+// The ablations' runScenario keeps starts the same way, so its rows must
+// equal the rows of records-keeping runs, here with the guard off and
+// with a cap under FCFS on a regenerated log.
 func TestContinualStartsMatchRecords(t *testing.T) {
 	l := NewLab(Options{Seed: 1, Scale: 0.05})
 	for _, c := range []struct {
@@ -59,7 +69,7 @@ func TestContinualStartsMatchRecords(t *testing.T) {
 		b := l.Baseline(c.name)
 		spec := core.JobSpec{CPUs: c.cpus, Runtime: b.sys.Seconds1GHz(c.sec1GHz)}
 		run := l.Continual(c.name, spec, c.capPct)
-		natives, ref := referenceContinual(l, c.name, spec, c.capPct)
+		natives, ref := referenceContinual(l, b.sys, b.log, cappedController(spec, c.capPct))
 		label := fmt.Sprintf("%s %d CPUs × %d s cap %d%%", c.name, spec.CPUs, spec.Runtime, c.capPct)
 
 		if len(run.starts) != len(ref) || len(ref) < 100 {
@@ -95,27 +105,68 @@ func TestContinualStartsMatchRecords(t *testing.T) {
 			t.Fatalf("%s: hourly series from starts differs from the records'", label)
 		}
 	}
+
+	b := l.Baseline("Blue Mountain")
+	spec := core.JobSpec{CPUs: 32, Runtime: b.sys.Seconds1GHz(960)}
+	fcfs := b.sys
+	fcfs.NewPolicy = func() sched.Policy { return sched.NewFCFS() }
+	fcfs.Workload.TargetUtil = 0.65
+	for _, c := range []struct {
+		label string
+		sys   testbed.System
+		log   []*job.Job
+		ctrl  func() *core.Controller
+	}{
+		{"guard off", b.sys, b.log, func() *core.Controller {
+			ctrl := core.NewController(spec)
+			ctrl.IgnorePlan = true
+			return ctrl
+		}},
+		{"FCFS, cap 93%, regenerated log", fcfs, workload.MustGenerate(fcfs.Workload, 7), func() *core.Controller {
+			return cappedController(spec, 93)
+		}},
+	} {
+		got := runScenario(l, c.label, c.sys, c.log, c.ctrl())
+		natives, ref := referenceContinual(l, c.sys, c.log, c.ctrl())
+		if len(ref) < 100 {
+			t.Fatalf("%s: only %d interstitial jobs", c.label, len(ref))
+		}
+		if want := ablationRowOf(c.label, c.sys, natives, ref); got != want {
+			t.Fatalf("%s: row from starts\n %+v\nfrom records\n %+v", c.label, got, want)
+		}
+	}
 }
 
-// TestContinualKeepsNoRecords requires a continual run to keep no record
-// per interstitial job: the simulation reuses each retired record, so
-// the run allocates far fewer objects than it runs jobs.
+// TestContinualKeepsNoRecords requires a continual run, the lab's memo or
+// an ablation scenario, to keep no record per interstitial job: the
+// simulation reuses each retired record, so the run allocates far fewer
+// objects than it runs jobs.
 func TestContinualKeepsNoRecords(t *testing.T) {
 	l := NewLab(Options{Seed: 1, Scale: 0.05, Workers: 1})
 	b := l.Baseline("Blue Mountain")
 	spec := core.JobSpec{CPUs: 8, Runtime: b.sys.Seconds1GHz(120)}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	run := l.Continual("Blue Mountain", spec, 0)
-	runtime.ReadMemStats(&after)
-	jobs, mallocs := len(run.starts), after.Mallocs-before.Mallocs
-	t.Logf("%d interstitial jobs, %d mallocs", jobs, mallocs)
-	if jobs < 50_000 {
-		t.Fatalf("only %d interstitial jobs: too few to tell a record per job from none", jobs)
-	}
-	if mallocs*20 >= uint64(jobs) {
-		t.Fatalf("%d mallocs for %d interstitial jobs; want under one per 20 jobs", mallocs, jobs)
+	for _, c := range []struct {
+		name string
+		run  func() int // runs the simulation, returning its interstitial job count
+	}{
+		{"Lab.Continual", func() int { return len(l.Continual("Blue Mountain", spec, 0).starts) }},
+		{"runScenario", func() int {
+			return runScenario(l, "keeps no records", b.sys, b.log, core.NewController(spec)).InterstitialJobs
+		}},
+	} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		jobs := c.run()
+		runtime.ReadMemStats(&after)
+		mallocs := after.Mallocs - before.Mallocs
+		t.Logf("%s: %d interstitial jobs, %d mallocs", c.name, jobs, mallocs)
+		if jobs < 50_000 {
+			t.Fatalf("%s: only %d interstitial jobs: too few to tell a record per job from none", c.name, jobs)
+		}
+		if mallocs*20 >= uint64(jobs) {
+			t.Fatalf("%s: %d mallocs for %d interstitial jobs; want under one per 20 jobs", c.name, mallocs, jobs)
+		}
 	}
 }
 

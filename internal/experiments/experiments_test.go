@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"interstitial/internal/core"
+	"interstitial/internal/job"
 	"interstitial/internal/testbed"
 )
 
@@ -466,6 +467,35 @@ func TestAblationPreemptionProtectsNatives(t *testing.T) {
 	// Checkpointing must recover harvest relative to no-checkpoint.
 	if pre60.HarvestedCPUh < preNo.HarvestedCPUh {
 		t.Errorf("checkpointing lost harvest: %.0f vs %.0f", pre60.HarvestedCPUh, preNo.HarvestedCPUh)
+	}
+	// Harvest is the work units completed in-log. A finished continuation
+	// completes a unit that its killed runs partly checkpointed, so the
+	// harvest is a whole number of units, no less than the finished
+	// records' CPU-seconds (restarts are free here), and no more than the
+	// interstitial occupancy of the log.
+	b := l.Baseline("Blue Mountain")
+	spec := core.JobSpec{CPUs: 32, Runtime: b.sys.Seconds1GHz(960)}
+	unit := float64(spec.CPUs) * float64(spec.Runtime)
+	horizon := b.sys.Workload.Duration()
+	for i, pre := range []*core.Preemption{nil, {}, {CheckpointEvery: 60}, {CheckpointEvery: 600}} {
+		ctrl := core.NewController(spec)
+		ctrl.Preempt = pre
+		_, recs := referenceContinual(l, b.sys, b.log, ctrl)
+		var finished float64
+		for _, j := range recs {
+			if j.State == job.Finished && j.Finish <= horizon {
+				finished += j.CPUSeconds()
+			}
+		}
+		row := r.Rows[i]
+		harvest := row.HarvestedCPUh * 3600
+		occupancy := (row.OverallUtil - row.NativeUtil) * float64(b.sys.Workload.Machine.CPUs) * float64(horizon)
+		if units := math.Round(harvest / unit); math.Abs(harvest-units*unit) > 1e-6*unit {
+			t.Errorf("%s: harvest %.0f CPU·s is %.4f work units, not a whole number", row.Label, harvest, harvest/unit)
+		}
+		if harvest < finished*(1-1e-12) || harvest > occupancy {
+			t.Errorf("%s: harvest %.0f CPU·s outside [%.0f finished, %.0f occupied]", row.Label, harvest, finished, occupancy)
+		}
 	}
 	renderOK(t, r)
 }

@@ -459,16 +459,12 @@ func (l *labCore) Continual(name string, spec core.JobSpec, capPct int) *continu
 		l.continualComputes.Add(1)
 		l.met.continualComputes.Inc()
 		b := l.Baseline(name)
-		run := &continualRun{natives: job.CloneAll(b.log), spec: spec}
 		ctrl := core.NewController(spec)
-		ctrl.StopAt = b.sys.Workload.Duration()
-		ctrl.DiscardRecords = true
 		if capPct > 0 {
 			ctrl.UtilCap = float64(capPct) / 100
 		}
 		label := fmt.Sprintf("continual/%s/%dcpu-%ds-cap%02d", name, spec.CPUs, spec.Runtime, capPct)
-		l.run(b.sys, run.natives, l.trace.Tracer(label, name, b.sys.Workload.Machine.CPUs), ctrl.Attach, run.keepStarts(ctrl))
-		return run
+		return l.continualOn(b.sys, b.log, l.trace.Tracer(label, name, b.sys.Workload.Machine.CPUs), ctrl)
 	})
 	if !computed {
 		l.met.continualHits.Inc()
@@ -539,6 +535,24 @@ func (l *Lab) Precompute(keys ...Key) {
 		}
 		l.Continual(k.System, k.Spec, k.CapPct)
 	})
+}
+
+// continualOn co-simulates log on sys with ctrl, a continual controller,
+// recording into tr (nil when tracing is off). It stops ctrl's submissions
+// at the log's horizon and keeps only the natives and the interstitial
+// start instants (see keepStarts). Every non-preemptive continual run in
+// the lab, memo or ablation scenario, takes this one path. ctrl must not
+// preempt: a killed record never retires, and its continuation runs
+// shorter than ctrl.Spec.
+func (l *labCore) continualOn(sys testbed.System, log []*job.Job, tr *tracing.Tracer, ctrl *core.Controller) *continualRun {
+	if ctrl.Preempt != nil {
+		panic("experiments: a preemptive controller's runs cannot be kept as start instants")
+	}
+	run := &continualRun{natives: job.CloneAll(log), spec: ctrl.Spec}
+	ctrl.StopAt = sys.Workload.Duration()
+	ctrl.DiscardRecords = true
+	l.run(sys, run.natives, tr, ctrl.Attach, run.keepStarts(ctrl))
+	return run
 }
 
 // keepStarts is the attach function that records a continual run. Its

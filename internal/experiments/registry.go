@@ -62,7 +62,7 @@ func ExtensionNames() []string {
 	return []string{"ablation-estimates", "ablation-backfill", "ablation-burstiness",
 		"ablation-joblength", "ablation-jobwidth", "ablation-guard", "ablation-capsweep",
 		"ablation-preemption", "ablation-prediction", "utilization-sweep",
-		"intracell-shards", "validate-sampling", "seed-robustness", "correlations",
+		"validate-sampling", "seed-robustness", "correlations",
 		"figure4-outages", "faults-sensitivity", "scale-stream", "federation"}
 }
 
@@ -186,8 +186,6 @@ func (g *Registry) runOn(l *Lab, name string) (Renderer, error) {
 		return AblationGuard(l), nil
 	case "utilization-sweep":
 		return UtilizationSweep(l), nil
-	case "intracell-shards":
-		return IntraCellShards(l, 8), nil
 	case "ablation-prediction":
 		return AblationPrediction(l), nil
 	case "ablation-preemption":

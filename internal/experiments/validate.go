@@ -225,10 +225,10 @@ func SeedRobustness(l *Lab, nSeeds int) *SeedRobustnessResult {
 		sys := testbed.BlueMountain().Scaled(o.Scale)
 		log := workload.MustGenerate(sys.Workload, seed)
 		if i%2 == 0 {
-			rows[i], _ = runScenario(l, fmt.Sprintf("seed %d/base", seed), sys, log, core.JobSpec{}, 0, nil)
+			rows[i] = runScenario(l, fmt.Sprintf("seed %d/base", seed), sys, log, nil)
 		} else {
 			spec := core.JobSpec{CPUs: 32, Runtime: sys.Seconds1GHz(120)}
-			rows[i], _ = runScenario(l, fmt.Sprintf("seed %d/with", seed), sys, log, spec, 0, nil)
+			rows[i] = runScenario(l, fmt.Sprintf("seed %d/with", seed), sys, log, core.NewController(spec))
 		}
 	})
 	for s := 0; s < nSeeds; s++ {
