@@ -70,8 +70,8 @@ bench-kernel:
 	$(GO) test -run '^$$' -bench '^(BenchmarkSimKernel$$|BenchmarkSimKernelChurn$$|BenchmarkScheduleBatch$$|BenchmarkAblationJobWidth$$)' \
 		-benchmem -count $(BENCHCOUNT) .
 
-# Omniscient packing end to end: one uncached advisor sweep on a warm lab
-# (the cold-plan path), one PlanOmniscient call, and a Table 2
+# Omniscient packing end to end: one uncached advisor sweep on a warm
+# baseline (the cold-plan path), one PlanOmniscient call, and a Table 2
 # regeneration. Not in the CI benchgate set: at -benchtime 1x the packing
 # benchmark spreads too widely for a 15% gate.
 bench-omni:
@@ -101,14 +101,20 @@ extensions:
 	$(GO) run ./cmd/experiments extensions
 
 # Rewrite the committed seed-1 paper-scale outputs of both suites, less
-# their last line (the run time). CI regenerates them and compares. A
-# failed run stops before it overwrites its file.
+# their last line (the run time), and six advisor plans, each under a
+# header naming its flags. CI regenerates the suites and compares;
+# cmd/advisor's TestGoldenPlans compares the plans. A failed run stops
+# before it overwrites its file.
 golden:
 	$(GO) run ./cmd/experiments -workers 2 > golden.tmp
 	sed '$$d' golden.tmp > testdata/golden/paper.txt
 	$(GO) run ./cmd/experiments -workers 2 extensions > golden.tmp
 	sed '$$d' golden.tmp > testdata/golden/extensions.txt
-	rm -f golden.tmp
+	for m in Ross 'Blue Mountain' 'Blue Pacific'; do for pc in 0.5 10; do \
+		echo "== advisor -machine '$$m' -petacycles $$pc -scale 0.05"; \
+		$(GO) run ./cmd/advisor -machine "$$m" -petacycles $$pc -scale 0.05 || exit 1; \
+	done; done > golden.tmp
+	mv golden.tmp testdata/golden/advisor.txt
 
 examples:
 	@for e in quickstart paramsweep capacityplan omniscient preemption swfreplay; do \

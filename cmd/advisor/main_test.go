@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -76,6 +79,41 @@ func TestJSONOutput(t *testing.T) {
 	}
 	if p.Degraded || len(p.Candidates) == 0 || p.Request.Machine != "Ross" {
 		t.Fatalf("unexpected plan: %+v", p)
+	}
+}
+
+// TestGoldenPlans pins six local plans, one small and one large project
+// per machine, to the committed testdata/golden/advisor.txt: each plan's
+// CLI text under a header naming its flags. `make golden` rewrites the
+// file the same way.
+func TestGoldenPlans(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "advisor.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, m := range []string{"Ross", "Blue Mountain", "Blue Pacific"} {
+		for _, pc := range []string{"0.5", "10"} {
+			fmt.Fprintf(&got, "== advisor -machine '%s' -petacycles %s -scale 0.05\n", m, pc)
+			code, stdout, stderr := runCLI(t, "-machine", m, "-petacycles", pc, "-scale", "0.05")
+			if code != 0 {
+				t.Fatalf("run(%s, %s) = %d, stderr: %s", m, pc, code, stderr)
+			}
+			got.WriteString(stdout)
+		}
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("plans differ from testdata/golden/advisor.txt at line %d:\n got %q\nwant %q", i+1, g, w)
+		}
 	}
 }
 

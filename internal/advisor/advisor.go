@@ -10,9 +10,9 @@
 // seed, scale):
 //
 //  1. Baseline: the calibrated native log + native-only run for
-//     (machine, seed, scale), memoized through an experiments.Lab — the
-//     same per-key singleflight artifact store the paper harness uses, so
-//     concurrent identical questions coalesce onto one simulation.
+//     (machine, seed, scale), memoized in the Core's bounded flight — the
+//     same LRU-plus-singleflight kind the server keeps plans in — so
+//     concurrent questions on one baseline coalesce onto one simulation.
 //  2. Sweep: the shape grid (CPUs/job × job length) is packed into one
 //     tiled free timeline of the baseline (core.PackProject, as
 //     PlanOmniscient does per shape) and scored on makespan with a soft
@@ -25,7 +25,6 @@
 package advisor
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -33,12 +32,11 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 
 	"interstitial"
 	"interstitial/internal/core"
-	"interstitial/internal/experiments"
 	"interstitial/internal/job"
 	"interstitial/internal/testbed"
 )
@@ -100,41 +98,44 @@ var (
 	sweepSecs = []float64{60, 120, 480, 960}
 )
 
-// Core computes plans. It keeps an LRU-bounded set of experiments.Labs,
-// one per (seed, scale), so the expensive baseline artifacts (calibrated
-// log + native run) are memoized with the harness's per-key singleflight:
-// concurrent requests for the same (machine, seed, scale) coalesce onto
-// one simulation, and different machines under one lab compute in
-// parallel. Core methods are safe for concurrent use.
+// Core computes plans. It memoizes native baselines (calibrated log +
+// native-only run) per (machine, seed, scale) in a bounded flight, so
+// concurrent requests for one baseline share one simulation and later
+// ones read it without any. Core methods are safe for concurrent use.
 type Core struct {
 	ctx           context.Context
 	degradedScale float64
-
-	mu      sync.Mutex
-	labs    map[labKey]*list.Element // value: *labEntry
-	labLRU  *list.List               // front = most recent
-	maxLabs int
+	baselines     *flight[baselineKey, *baseline]
+	computes      atomic.Int32 // baseline computes (tests)
 }
 
-type labKey struct {
-	seed  int64
-	scale float64
+// maxBaselines bounds the memoized baselines: 8 (seed, scale) pairs of
+// the three machines.
+const maxBaselines = 24
+
+type baselineKey struct {
+	machine string
+	seed    int64
+	scale   float64
 }
 
-type labEntry struct {
-	key labKey
-	lab *experiments.Lab
+// baseline is the planning input every sweep of one key reads: the scaled
+// system, its native log after a native-only run (records carry start and
+// finish times), and the achieved native utilization. Sweeps only read it.
+type baseline struct {
+	sys  testbed.System
+	ran  []*job.Job
+	util float64
 }
 
 // CoreConfig tunes a Core. The zero value is usable.
 type CoreConfig struct {
-	// Ctx bounds every full-sweep simulation (default: background). Labs
-	// bind it at creation, so cancel it only when the Core is spent —
-	// after a server drain, or at CLI exit. Per-request deadlines do NOT
-	// belong here: a cancelled lab context poisons memoized artifacts.
+	// Ctx bounds every full-sweep baseline compute (default: background).
+	// Cancel it only when the Core is spent — after a server drain, or at
+	// CLI exit: a compute it stops fails every request waiting on that
+	// baseline. Per-request deadlines do NOT belong here; they reach only
+	// PlanDegraded, whose baseline no other request shares.
 	Ctx context.Context
-	// MaxLabs bounds the distinct (seed, scale) labs kept (default 8).
-	MaxLabs int
 	// DegradedScale is the fallback planning-log scale for over-budget
 	// requests (default 0.02: a sub-100ms plan).
 	DegradedScale float64
@@ -145,81 +146,77 @@ func NewCore(cfg CoreConfig) *Core {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	if cfg.MaxLabs <= 0 {
-		cfg.MaxLabs = 8
-	}
 	if cfg.DegradedScale <= 0 || cfg.DegradedScale > 1 {
 		cfg.DegradedScale = 0.02
 	}
 	return &Core{
 		ctx:           cfg.Ctx,
 		degradedScale: cfg.DegradedScale,
-		labs:          make(map[labKey]*list.Element),
-		labLRU:        list.New(),
-		maxLabs:       cfg.MaxLabs,
+		baselines:     newFlight[baselineKey, *baseline](maxBaselines),
 	}
-}
-
-// lab returns (creating if needed) the memoizing lab for (seed, scale),
-// bumping it to the front of the LRU and evicting the coldest lab past
-// the bound. Workers is pinned to 1: the advisor never fans out inside a
-// lab, and cross-request parallelism is the server's admission queue.
-func (c *Core) lab(seed int64, scale float64) *experiments.Lab {
-	k := labKey{seed: seed, scale: scale}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.labs[k]; ok {
-		c.labLRU.MoveToFront(el)
-		return el.Value.(*labEntry).lab
-	}
-	lab := experiments.NewLab(experiments.Options{Seed: seed, Scale: scale, Workers: 1, Ctx: c.ctx})
-	el := c.labLRU.PushFront(&labEntry{key: k, lab: lab})
-	c.labs[k] = el
-	for c.labLRU.Len() > c.maxLabs {
-		old := c.labLRU.Back()
-		c.labLRU.Remove(old)
-		delete(c.labs, old.Value.(*labEntry).key)
-	}
-	return lab
 }
 
 // Plan answers the canonical request with a full sweep on the memoized
-// baseline. It runs under the Core's lifetime context (see CoreConfig.Ctx)
-// and converts any panic below it — including a poisoned lab artifact —
-// into a *PlanError. The request must be canonicalized and validated.
-func (c *Core) Plan(req Request) (p *Plan, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			if e := asErr(v); e != nil && (errors.Is(e, context.Canceled) || errors.Is(e, context.DeadlineExceeded)) {
-				err = e
-				return
-			}
-			err = &PlanError{Key: req.Key(), Value: v, Stack: debug.Stack()}
+// baseline, computed under the Core's lifetime context (see
+// CoreConfig.Ctx) when absent. The request must be canonicalized and
+// validated.
+func (c *Core) Plan(req Request) (*Plan, error) {
+	k := baselineKey{machine: req.Machine, seed: req.Seed, scale: req.Scale}
+	b, ok := c.baselines.get(k)
+	if !ok {
+		pending, owner := c.baselines.join(k)
+		if owner {
+			c.fill(k, pending, req)
 		}
-	}()
-	sys, ran, util := c.lab(req.Seed, req.Scale).NativeBaseline(req.Machine)
-	return sweep(sys, ran, util, req, false)
+		<-pending.done
+		if pending.err != nil {
+			return nil, pending.err
+		}
+		b = pending.v
+	}
+	return sweep(b, req, false)
 }
 
-// asErr converts a recovered value to an error (nil when it isn't one).
-func asErr(v any) error {
-	if e, ok := v.(error); ok {
-		return e
-	}
-	return nil
+// fill computes the baseline an owner joined and settles it: a success is
+// kept; a failure, or a panic converted to a *PlanError, is handed to the
+// waiters and dropped, so the next request computes it again.
+func (c *Core) fill(k baselineKey, pending *call[*baseline], req Request) {
+	var b *baseline
+	var err error
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PlanError{Key: req.Key(), Value: v, Stack: debug.Stack()}
+		}
+		c.baselines.settle(k, pending, b, err, err == nil)
+	}()
+	c.computes.Add(1)
+	b, err = computeBaseline(c.ctx, k.machine, k.seed, k.scale)
 }
 
 // PlanDegraded computes the cheap fallback plan on a degradedScale log,
 // directly under ctx — this is where a per-request deadline propagates
 // into the simulation stack (CalibratedLogCtx / RunNative abort within
-// ~4096 kernel events of cancellation). It bypasses the labs entirely so
-// an expiring request can never poison a shared memoized artifact.
+// ~4096 kernel events of cancellation). Its baseline is neither kept nor
+// shared, so an expiring request fails only itself.
 func (c *Core) PlanDegraded(ctx context.Context, req Request) (*Plan, error) {
-	sys, err := experiments.ScaledSystem(req.Machine, c.degradedScale)
+	b, err := computeBaseline(ctx, req.Machine, req.Seed, c.degradedScale)
 	if err != nil {
 		return nil, err
 	}
-	log, err := sys.CalibratedLogCtx(ctx, req.Seed, 0.015)
+	return sweep(b, req, true)
+}
+
+// computeBaseline calibrates the machine's native log at (seed, scale) and
+// runs it alone under ctx. The run goes on a clone, whose records are
+// allocated back to back in log order for the sweep to walk: sweeping the
+// generated log itself benchmarked slower (BenchmarkAdvisorSweep).
+func computeBaseline(ctx context.Context, machine string, seed int64, scale float64) (*baseline, error) {
+	m, err := interstitial.MachineByName(machine)
+	if err != nil {
+		return nil, err
+	}
+	sys := m.Scaled(scale)
+	log, err := sys.CalibratedLogCtx(ctx, seed, 0.015)
 	if err != nil {
 		return nil, err
 	}
@@ -228,20 +225,21 @@ func (c *Core) PlanDegraded(ctx context.Context, req Request) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sweep(sys, ran, util, req, true)
+	return &baseline{sys: sys, ran: ran, util: util}, nil
 }
 
 // sweep scores the shape grid against a ran baseline log and assembles
 // the plan. Deterministic: the grid is walked in fixed order, ties in
 // score break on makespan, then width, then length.
-func sweep(sys testbed.System, ran []*job.Job, utilNat float64, req Request, degraded bool) (*Plan, error) {
+func sweep(b *baseline, req Request, degraded bool) (*Plan, error) {
+	sys := b.sys
 	start := sys.Workload.Duration() / 8
 	// Every shape packs the same project size from the same start, so one
 	// tiled timeline (what PlanOmniscient builds per call) serves the whole
 	// grid; packing only reads it.
 	horizon := sys.Workload.Duration()
 	copies := core.TimelineCopies(horizon, start, interstitial.TheoreticalMakespan(sys, req.PetaCycles))
-	free, err := core.FreeTimeline(ran, sys.Workload.Machine.CPUs, horizon, copies)
+	free, err := core.FreeTimeline(b.ran, sys.Workload.Machine.CPUs, horizon, copies)
 	if err != nil {
 		return nil, fmt.Errorf("advisor: free timeline of %s: %w", req.Machine, err)
 	}
@@ -293,7 +291,7 @@ func sweep(sys testbed.System, ran []*job.Job, utilNat float64, req Request, deg
 		Request:        req,
 		MachineCPUs:    sys.Workload.Machine.CPUs,
 		ClockGHz:       sys.Workload.Machine.ClockGHz,
-		NativeUtil:     utilNat,
+		NativeUtil:     b.util,
 		IdealMakespanH: interstitial.TheoreticalMakespan(sys, req.PetaCycles) / 3600,
 		Candidates:     cands,
 		Degraded:       degraded,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -79,28 +80,94 @@ func TestCorePlanInfeasible(t *testing.T) {
 	}
 }
 
-func TestCoreLabLRUBound(t *testing.T) {
-	core := NewCore(CoreConfig{MaxLabs: 2})
-	for _, seed := range []int64{1, 2, 3} {
-		core.lab(seed, 0.05)
+// TestCoreComputesBaselineOnce: concurrent plans of different sizes on
+// one cold (machine, seed, scale) share a single baseline compute.
+func TestCoreComputesBaselineOnce(t *testing.T) {
+	core := NewCore(CoreConfig{})
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		req := testReq(t)
+		req.PetaCycles = float64(i + 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = core.Plan(req)
+		}()
 	}
-	core.mu.Lock()
-	n := core.labLRU.Len()
-	m := len(core.labs)
-	core.mu.Unlock()
-	if n != 2 || m != 2 {
-		t.Fatalf("lab LRU holds %d/%d entries, want 2/2", n, m)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("Plan %d: %v", i, err)
+		}
 	}
-	// The most recent labs survive; seed 1 was evicted.
-	core.mu.Lock()
-	_, has1 := core.labs[labKey{seed: 1, scale: 0.05}]
-	_, has3 := core.labs[labKey{seed: 3, scale: 0.05}]
-	core.mu.Unlock()
-	if has1 || !has3 {
-		t.Fatalf("eviction order wrong: has1=%v has3=%v", has1, has3)
+	if n := core.computes.Load(); n != 1 {
+		t.Fatalf("baseline computed %d times, want 1", n)
+	}
+	if n := core.baselines.len(); n != 1 {
+		t.Fatalf("%d baselines kept, want 1", n)
 	}
 }
 
+// TestCoreKeepsNoFailedBaseline: a failing compute reaches its caller and
+// is not kept, so asking again computes again.
+func TestCoreKeepsNoFailedBaseline(t *testing.T) {
+	core := NewCore(CoreConfig{})
+	req := testReq(t)
+	req.Machine = "Cray XK7" // unvalidated: no such machine
+	for i := 1; i <= 2; i++ {
+		if _, err := core.Plan(req); err == nil || !strings.Contains(err.Error(), "Cray XK7") {
+			t.Fatalf("Plan %d = %v, want an unknown-machine error", i, err)
+		}
+		if n := core.computes.Load(); n != int32(i) {
+			t.Fatalf("after Plan %d: %d computes, want %d", i, n, i)
+		}
+	}
+	if n := core.baselines.len(); n != 0 {
+		t.Fatalf("%d baselines kept after failures, want 0", n)
+	}
+}
+
+// TestCorePanickingBaselineReleasesWaiters: a compute that panics settles
+// its call with a *PlanError, so every request waiting on it returns
+// instead of blocking, and nothing is kept. The test owns the call while
+// the requests arrive; whichever of them arrive after it settles own a
+// compute of their own, which panics the same way.
+func TestCorePanickingBaselineReleasesWaiters(t *testing.T) {
+	core := NewCore(CoreConfig{})
+	req := testReq(t)
+	req.Scale = -1 // unvalidated: a negative-length log fails generation with a panic
+	k := baselineKey{machine: req.Machine, seed: req.Seed, scale: req.Scale}
+	pending, owner := core.baselines.join(k)
+	if !owner {
+		t.Fatal("cold key already in flight")
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = core.Plan(req)
+		}()
+	}
+	core.fill(k, pending, req)
+	wg.Wait()
+	for i, err := range append(errs, pending.err) {
+		var pe *PlanError
+		if !errors.As(err, &pe) {
+			t.Fatalf("caller %d: %v, want a *PlanError", i, err)
+		}
+	}
+	if n := core.baselines.len(); n != 0 {
+		t.Fatalf("%d baselines kept after a panic, want 0", n)
+	}
+}
+
+// TestPlanDegradedMarkedAndUncached pins the fallback's answer: a
+// degraded plan is marked, keeps the caller's request, and renders exactly
+// the full plan of the same question at the degraded scale plus the NOTE
+// line after the two header lines.
 func TestPlanDegradedMarkedAndUncached(t *testing.T) {
 	core := NewCore(CoreConfig{})
 	req := testReq(t)
@@ -111,11 +178,23 @@ func TestPlanDegradedMarkedAndUncached(t *testing.T) {
 	if !p.Degraded {
 		t.Fatal("fallback plan not marked degraded")
 	}
-	if !strings.Contains(p.Text, "NOTE: degraded plan") {
-		t.Fatalf("degraded render missing NOTE:\n%s", p.Text)
-	}
 	if p.Request != req {
 		t.Fatalf("degraded plan request %+v, want %+v", p.Request, req)
+	}
+	if n := core.baselines.len(); n != 0 {
+		t.Fatalf("degraded plan kept %d baselines, want 0", n)
+	}
+	full := req
+	full.Scale = core.degradedScale
+	fp, err := core.Plan(full)
+	if err != nil {
+		t.Fatalf("Plan at the degraded scale: %v", err)
+	}
+	head := strings.SplitAfterN(fp.Text, "\n", 3)
+	want := head[0] + head[1] +
+		"NOTE: degraded plan — the full sweep exceeded its budget; ranked on a reduced fallback log\n" + head[2]
+	if p.Text != want {
+		t.Fatalf("degraded plan differs from the full plan at scale %g:\n%s\nwant\n%s", full.Scale, p.Text, want)
 	}
 }
 

@@ -3,9 +3,9 @@ package advisor
 import "testing"
 
 // BenchmarkAdvisorSweep times one uncached Core.Plan on a warm Blue
-// Mountain lab at the default planning scale: the full 24-shape sweep and
-// render, with the baseline already memoized. This is the cold-plan path
-// an advisord request pays on a result-cache miss.
+// Mountain baseline at the default planning scale: the full 24-shape sweep
+// and render, with the baseline already memoized. This is the cold-plan
+// path an advisord request pays on a result-cache miss.
 func BenchmarkAdvisorSweep(b *testing.B) {
 	req := Request{Machine: "Blue Mountain", PetaCycles: 5}
 	req.Canonicalize()
@@ -13,7 +13,7 @@ func BenchmarkAdvisorSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	c := NewCore(CoreConfig{})
-	if _, err := c.Plan(req); err != nil { // warm the lab
+	if _, err := c.Plan(req); err != nil { // warm the baseline
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -5,110 +5,100 @@ import (
 	"sync"
 )
 
-// call is one in-flight plan computation; waiters coalesce onto it and
-// block on done.
-type call struct {
+// call is one in-flight computation of a flight's value; joiners block on
+// done, then read v and err.
+type call[V any] struct {
 	done chan struct{}
-	plan *Plan
+	v    V
 	err  error
 }
 
-// finish publishes the result and releases every waiter.
-func (c *call) finish(p *Plan, err error) {
-	c.plan, c.err = p, err
-	close(c.done)
-}
-
-// resultCache is the LRU plan cache plus the coalescing (singleflight)
-// table in front of it. Only full (non-degraded) plans are stored: a
-// degraded answer is a budget artifact, not the canonical answer, so a
-// later request for the same key gets the real sweep (usually from the
-// background fill the degraded request left running).
-type resultCache struct {
+// flight is the advisor's one memo kind: an LRU of kept values plus the
+// singleflight table in front of it, so concurrent askers of one key share
+// one computation. The Server keeps full plans in one, keyed by
+// Request.Key; the Core keeps native baselines in another, keyed by
+// (machine, seed, scale). Only the values an owner chooses to keep are
+// stored: a failure, or a degraded plan, is handed to its waiters and
+// forgotten, so the next asker computes it again.
+type flight[K comparable, V any] struct {
 	mu       sync.Mutex
-	entries  map[string]*list.Element // value: *cacheEntry
-	lru      *list.List               // front = most recent
+	entries  map[K]*list.Element // value: *entry[K, V]
+	lru      *list.List          // front = most recent
 	max      int
-	inflight map[string]*call
+	inflight map[K]*call[V]
 }
 
-type cacheEntry struct {
-	key  string
-	plan *Plan
+type entry[K comparable, V any] struct {
+	key K
+	v   V
 }
 
-func newResultCache(max int) *resultCache {
+func newFlight[K comparable, V any](max int) *flight[K, V] {
 	if max < 1 {
 		max = 1
 	}
-	return &resultCache{
-		entries:  make(map[string]*list.Element),
+	return &flight[K, V]{
+		entries:  make(map[K]*list.Element),
 		lru:      list.New(),
 		max:      max,
-		inflight: make(map[string]*call),
+		inflight: make(map[K]*call[V]),
 	}
 }
 
-// get returns the cached plan for key, bumping its recency.
-func (rc *resultCache) get(key string) (*Plan, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	el, ok := rc.entries[key]
+// get returns the kept value for key, bumping its recency.
+func (f *flight[K, V]) get(key K) (V, bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	el, ok := f.entries[key]
 	if !ok {
-		return nil, false
+		var zero V
+		return zero, false
 	}
-	rc.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).plan, true
+	f.lru.MoveToFront(el)
+	return el.Value.(*entry[K, V]).v, true
 }
 
 // join returns the in-flight call for key, creating one when absent. The
-// second result is true for the creator — the caller that owns the
-// computation and must eventually finish (and settle) the call.
-func (rc *resultCache) join(key string) (*call, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if c, ok := rc.inflight[key]; ok {
+// second result is true for the creator — the owner, which must settle
+// the call whether or not it computes anything.
+func (f *flight[K, V]) join(key K) (*call[V], bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if c, ok := f.inflight[key]; ok {
 		return c, false
 	}
-	c := &call{done: make(chan struct{})}
-	rc.inflight[key] = c
+	c := &call[V]{done: make(chan struct{})}
+	f.inflight[key] = c
 	return c, true
 }
 
-// settle removes the in-flight call (after finish) and, when the plan is
-// a full sweep, stores it in the LRU.
-func (rc *resultCache) settle(key string, c *call) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	delete(rc.inflight, key)
-	if c.err != nil || c.plan == nil || c.plan.Degraded {
-		return
+// settle retires the owner's call: with keep, v becomes key's newest
+// entry, evicting the coldest past the bound; either way every waiter is
+// released with (v, err).
+func (f *flight[K, V]) settle(key K, c *call[V], v V, err error, keep bool) {
+	f.mu.Lock()
+	delete(f.inflight, key)
+	if keep {
+		if el, ok := f.entries[key]; ok {
+			el.Value.(*entry[K, V]).v = v
+			f.lru.MoveToFront(el)
+		} else {
+			f.entries[key] = f.lru.PushFront(&entry[K, V]{key: key, v: v})
+		}
+		for f.lru.Len() > f.max {
+			old := f.lru.Back()
+			f.lru.Remove(old)
+			delete(f.entries, old.Value.(*entry[K, V]).key)
+		}
 	}
-	if el, ok := rc.entries[key]; ok {
-		el.Value.(*cacheEntry).plan = c.plan
-		rc.lru.MoveToFront(el)
-		return
-	}
-	rc.entries[key] = rc.lru.PushFront(&cacheEntry{key: key, plan: c.plan})
-	for rc.lru.Len() > rc.max {
-		old := rc.lru.Back()
-		rc.lru.Remove(old)
-		delete(rc.entries, old.Value.(*cacheEntry).key)
-	}
+	f.mu.Unlock()
+	c.v, c.err = v, err
+	close(c.done)
 }
 
-// abandon removes an unstarted call a shed owner created but will never
-// compute, waking any waiters with the error.
-func (rc *resultCache) abandon(key string, c *call, err error) {
-	rc.mu.Lock()
-	delete(rc.inflight, key)
-	rc.mu.Unlock()
-	c.finish(nil, err)
-}
-
-// len reports the stored-entry count (tests).
-func (rc *resultCache) len() int {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.lru.Len()
+// len reports the kept-entry count (tests).
+func (f *flight[K, V]) len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.lru.Len()
 }

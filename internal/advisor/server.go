@@ -33,8 +33,6 @@ type Config struct {
 	MaxTenants int
 	// CacheEntries bounds the plan LRU (default 256).
 	CacheEntries int
-	// MaxLabs bounds the distinct (seed, scale) planning labs (default 8).
-	MaxLabs int
 	// Budget is the per-request full-sweep budget: past it the request is
 	// answered with a degraded fallback plan instead of waiting (default
 	// 2s). Clients may lower it per request with ?budget_ms=N.
@@ -78,7 +76,7 @@ type Server struct {
 	met     *metrics
 	buckets *bucketSet
 	queue   *slotQueue
-	cache   *resultCache
+	cache   *flight[string, *Plan] // full plans by Request.Key
 	mux     *http.ServeMux
 
 	httpLog *slog.Logger // component=http: one record per request
@@ -99,7 +97,6 @@ func NewServer(cfg Config) *Server {
 	s := newServerShell(cfg)
 	s.planner = NewCore(CoreConfig{
 		Ctx:           s.planCtx,
-		MaxLabs:       s.cfg.MaxLabs,
 		DegradedScale: s.cfg.DegradedScale,
 	})
 	return s
@@ -146,7 +143,7 @@ func newServerShell(cfg Config) *Server {
 		met:        newMetrics(cfg.Reg),
 		buckets:    newBucketSet(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants, cfg.Now),
 		queue:      newSlotQueue(cfg.QueueBound),
-		cache:      newResultCache(cfg.CacheEntries),
+		cache:      newFlight[string, *Plan](cfg.CacheEntries),
 		mux:        http.NewServeMux(),
 		planCtx:    ctx,
 		planCancel: cancel,
@@ -395,7 +392,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		// slot — joiners ride along for free.
 		if !s.queue.tryAcquire() {
 			co.Str("outcome", "shed-queue").End(s.nowMicro())
-			s.cache.abandon(key, c, fmt.Errorf("queue full"))
+			s.cache.settle(key, c, nil, fmt.Errorf("queue full"), false)
 			s.met.shed.Inc()
 			tm.shed.Inc()
 			s.planLog.Warn("shed", "request_id", reqID, "reason", "queue-full", "tenant", tenant)
@@ -409,7 +406,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			s.admitMu.Unlock()
 			s.queue.release()
 			co.Str("outcome", "draining").End(s.nowMicro())
-			s.cache.abandon(key, c, fmt.Errorf("draining"))
+			s.cache.settle(key, c, nil, fmt.Errorf("draining"), false)
 			s.planLog.Info("shed", "request_id", reqID, "reason", "draining")
 			writeJSONError(w, http.StatusServiceUnavailable, "draining", "draining", s.cfg.ShedRetryAfter)
 			return
@@ -423,8 +420,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			defer s.wg.Done()
 			defer s.queue.release()
 			p, err := s.planShielded(req)
-			c.finish(p, err)
-			s.cache.settle(key, c)
+			// Only full plans are kept: a degraded answer is a budget
+			// artifact, and a failure is retried by the next ask.
+			s.cache.settle(key, c, p, err, err == nil && !p.Degraded)
 		}()
 	} else {
 		s.met.coalesced.Inc()
@@ -442,7 +440,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		if c.err != nil {
 			s.planLog.Warn("plan failed", "request_id", reqID, "key", key, "err", c.err.Error())
 		}
-		s.respondPlan(w, c.plan, c.err)
+		s.respondPlan(w, c.v, c.err)
 	case <-budget.C:
 		dg := sp.Child("plan.degraded", 4, s.nowMicro())
 		dp, derr := s.planner.PlanDegraded(r.Context(), req)
@@ -453,7 +451,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			select {
 			case <-c.done:
 				pw.Str("outcome", planOutcome(c.err)).End(s.nowMicro())
-				s.respondPlan(w, c.plan, c.err)
+				s.respondPlan(w, c.v, c.err)
 			default:
 				pw.Str("outcome", "over-budget").End(s.nowMicro())
 				s.planLog.Warn("over budget, fallback failed", "request_id", reqID,
@@ -492,8 +490,9 @@ func planOutcome(err error) string {
 }
 
 // planShielded runs the full sweep, converting panics to *PlanError (the
-// Core already shields its own path; this also covers test planners) and
-// counting them.
+// Core converts a panicking baseline compute itself, for every request
+// waiting on it; this covers the sweep and test planners) and counting
+// them.
 func (s *Server) planShielded(req Request) (p *Plan, err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -433,7 +433,9 @@ func TestServerDrainWaitsForInflight(t *testing.T) {
 			t.Errorf("in-flight request = %d, want 200", code)
 		}
 	}()
-	waitFor(t, func() bool { return srv.queue.depth() == 1 })
+	// The stub is entered only after the owner joined the drain group; a
+	// request that holds a slot but has not joined yet is shed by Drain.
+	waitFor(t, func() bool { return p.calls.Load() == 1 })
 
 	// Drain with a short deadline while the planner is stuck: times out.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)

@@ -472,26 +472,10 @@ func (l *labCore) Continual(name string, spec core.JobSpec, capPct int) *continu
 	return r
 }
 
-// NativeBaseline exposes the lab's memoized baseline artifacts for one
-// system to packages outside the experiment registry — the capacity
-// advisor reuses them as its planning inputs. It returns the scaled
-// system, the post-run native log (records carry start/finish times, so
-// it feeds PlanOmniscient directly), and the achieved native utilization.
-// The returned log is shared with every other user of the baseline:
-// callers must treat it as immutable (clone before re-simulating).
-// Like every Lab artifact it is per-key singleflight — concurrent callers
-// coalesce onto one computation — and a compute poisoned by a panic or
-// the lab context's cancellation re-raises here.
-func (l *Lab) NativeBaseline(name string) (sys testbed.System, ran []*job.Job, utilNative float64) {
-	b := l.Baseline(name)
-	return b.sys, b.ran, b.utilNat
-}
-
 // ScaledSystem returns the named testbed system resized by scale under
 // the harness's scaling rules (job-count floor, long-runtime-tail clamp)
-// — the same transform a Lab with Options.Scale applies — so one-shot
-// planners outside a Lab shape workloads identically to the memoized
-// path. Unknown names return an error rather than the Lab's panic: here
+// — the same transform a Lab with Options.Scale applies — so runs built
+// outside a Lab shape workloads identically to the memoized path. Unknown names return an error rather than the Lab's panic: here
 // the name is input, not code.
 func ScaledSystem(name string, scale float64) (testbed.System, error) {
 	for _, s := range testbed.All() {
