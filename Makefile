@@ -86,13 +86,12 @@ fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzMachineByName -fuzztime 30s .
 	$(GO) test -fuzz FuzzRoutePolicy -fuzztime 30s ./internal/federation/
-	$(GO) test -fuzz FuzzScheduleConfig -fuzztime 30s ./internal/faults/
 	$(GO) test -fuzz FuzzAdvisorRequest -fuzztime 30s ./internal/advisor/
 	$(GO) test -fuzz FuzzMachineReleases -fuzztime 30s ./internal/machine/
 	$(GO) test -fuzz FuzzFairShareTree -fuzztime 30s ./internal/fairshare/
 
 # Regenerate the paper at full scale and the extension studies (2.1–2.4 s
-# at a peak RSS of 350–410 MB, and 30–38 s at 4.3 GB, with 2 workers
+# at a peak RSS of 350–410 MB, and 45–47 s at 4.0 GB, with 2 workers
 # on a shared 2-vCPU Xeon VM).
 paper:
 	$(GO) run ./cmd/experiments

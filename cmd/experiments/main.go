@@ -35,7 +35,7 @@
 // trace), or audit (per-job lifecycle CSV of the decisions; spans have
 // no audit form). -trace-sample N bounds memory on long runs by keeping
 // the first N/2 and last ~N/2 events per run; use it for "extensions",
-// which records 108 runs at -scale 0.05. Span IDs derive from the
+// which records 84 runs at -scale 0.05. Span IDs derive from the
 // seed and all instants are logical or simulated time, so the file is
 // byte-identical at any -workers. All of it is observation-only: stdout
 // stays byte-identical.

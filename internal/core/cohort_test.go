@@ -25,17 +25,16 @@ func admitReference(c *Controller, s *engine.Simulator, res sched.PassResult) {
 	for len(c.backlog) > 0 && admitOneReference(c, s, res, c.backlog[0], tracing.ReasonContinuation) {
 		c.backlog = c.backlog[1:]
 	}
-	for !c.Done() && c.Remaining() != 0 && admitOneReference(c, s, res, pendingWork{run: c.Spec.Runtime}, tracing.ReasonFresh) {
+	for !c.Done() && c.Remaining() != 0 && admitOneReference(c, s, res, c.Spec.Runtime, tracing.ReasonFresh) {
 		c.created++
 	}
 }
 
-// admitOneReference starts one interstitial job for w if every Figure-1
-// condition holds, and reports whether it did.
-func admitOneReference(c *Controller, s *engine.Simulator, res sched.PassResult, w pendingWork, reason tracing.Reason) bool {
+// admitOneReference starts one interstitial job of the given runtime if
+// every Figure-1 condition holds, and reports whether it did.
+func admitOneReference(c *Controller, s *engine.Simulator, res sched.PassResult, runtime sim.Time, reason tracing.Reason) bool {
 	now := s.Now()
 	m := s.Machine()
-	runtime := w.run + w.overhead
 	if m.Free() < c.Spec.CPUs {
 		return false
 	}
@@ -47,9 +46,8 @@ func admitOneReference(c *Controller, s *engine.Simulator, res sched.PassResult,
 	}
 	c.nextID++
 	j := job.NewInterstitial(interstitialIDBase+c.nextID, c.Spec.CPUs, runtime, now)
-	j.Overhead = w.overhead
 	if t := s.Tracer(); t != nil {
-		t.Emit(now, tracing.KindSpawn, reason, j.ID, j.CPUs, m.Busy(), int64(w.overhead))
+		t.Emit(now, tracing.KindSpawn, reason, j.ID, j.CPUs, m.Busy(), 0)
 	}
 	s.StartDirect(j)
 	if !c.IgnorePlan && res.Plan != nil {
@@ -81,7 +79,7 @@ type cohortCase struct {
 	metered       bool
 	created       int
 	ignorePlan    bool
-	backlog       []byte // continuations as (run/8, overhead/8) pairs
+	backlog       []byte // continuations' runtimes, each as run/8
 }
 
 // build sets the case up on a fresh simulator and controller, returning
@@ -127,11 +125,8 @@ func (c cohortCase) build() (*engine.Simulator, *Controller, sched.PassResult, *
 			ctrl.UtilCap = math.Inf(1)
 		}
 	}
-	for i := 0; i+1 < len(c.backlog); i += 2 {
-		ctrl.backlog = append(ctrl.backlog, pendingWork{
-			run:      sim.Time(c.backlog[i])*8 + 1,
-			overhead: sim.Time(c.backlog[i+1]) * 8,
-		})
+	for _, run := range c.backlog {
+		ctrl.backlog = append(ctrl.backlog, sim.Time(run)*8+1)
 	}
 	tr := tracing.NewCollector(0).Tracer("admission", "t", c.total)
 	s.SetTracer(tr)

@@ -64,10 +64,9 @@ type Controller struct {
 	KilledJobs       int
 	WastedCPUSeconds float64
 
-	created int // fresh work units submitted (excludes continuations)
-	backlog []pendingWork
+	created int        // fresh work units submitted (excludes continuations)
+	backlog []sim.Time // run seconds of preempted remainders awaiting resubmission
 	nextID  int
-	blockID int // kill-latency blocker jobs issued
 
 	// spare queues the retired records handed back through Recycle,
 	// oldest first from spareHead on; record reuses them before
@@ -76,21 +75,9 @@ type Controller struct {
 	spareHead int
 }
 
-// pendingWork is a preempted remainder awaiting resubmission: run seconds
-// of useful work plus the restart overhead its continuation job will pay
-// up front.
-type pendingWork struct {
-	run      sim.Time
-	overhead sim.Time
-}
-
 // interstitialIDBase keeps interstitial job IDs disjoint from native log
-// IDs (native logs number from 1); killBlockerIDBase keeps the
-// kill-latency blocker jobs disjoint from both.
-const (
-	interstitialIDBase = 10_000_000
-	killBlockerIDBase  = 30_000_000
-)
+// IDs (native logs number from 1).
+const interstitialIDBase = 10_000_000
 
 // NewController returns a continual controller for spec over the whole
 // simulation.
@@ -125,40 +112,29 @@ func (c *Controller) Attach(s *engine.Simulator) error {
 	return nil
 }
 
-// WorkUnit is a preempted remainder awaiting resubmission, exported for
-// checkpointing: run seconds of useful work plus the restart overhead
-// its continuation job will pay up front.
-type WorkUnit struct {
-	Run      sim.Time `json:"run"`
-	Overhead sim.Time `json:"overhead"`
-}
-
 // State is the controller's serializable mutable state. The
 // configuration fields (Spec, Limit, window, caps) are not included:
 // a restored controller is built with the same configuration and then
 // handed the snapshot.
 type State struct {
-	Created          int        `json:"created"`
-	NextID           int        `json:"nextID"`
-	BlockID          int        `json:"blockID"`
-	KilledJobs       int        `json:"killedJobs"`
-	WastedCPUSeconds float64    `json:"wastedCPUSeconds"`
-	Backlog          []WorkUnit `json:"backlog,omitempty"`
+	Created          int     `json:"created"`
+	NextID           int     `json:"nextID"`
+	KilledJobs       int     `json:"killedJobs"`
+	WastedCPUSeconds float64 `json:"wastedCPUSeconds"`
+	// Backlog holds the run seconds of each preempted remainder awaiting
+	// resubmission, in resubmission order.
+	Backlog []sim.Time `json:"backlog,omitempty"`
 }
 
 // State snapshots the controller's mutable state.
 func (c *Controller) State() State {
-	st := State{
+	return State{
 		Created:          c.created,
 		NextID:           c.nextID,
-		BlockID:          c.blockID,
 		KilledJobs:       c.KilledJobs,
 		WastedCPUSeconds: c.WastedCPUSeconds,
+		Backlog:          append([]sim.Time(nil), c.backlog...),
 	}
-	for _, w := range c.backlog {
-		st.Backlog = append(st.Backlog, WorkUnit{Run: w.run, Overhead: w.overhead})
-	}
-	return st
 }
 
 // SetState restores a snapshot taken with State. Call before Attach on
@@ -166,13 +142,9 @@ func (c *Controller) State() State {
 func (c *Controller) SetState(st State) {
 	c.created = st.Created
 	c.nextID = st.NextID
-	c.blockID = st.BlockID
 	c.KilledJobs = st.KilledJobs
 	c.WastedCPUSeconds = st.WastedCPUSeconds
-	c.backlog = c.backlog[:0]
-	for _, w := range st.Backlog {
-		c.backlog = append(c.backlog, pendingWork{run: w.Run, overhead: w.Overhead})
-	}
+	c.backlog = append(c.backlog[:0], st.Backlog...)
 }
 
 // Remaining reports how many fresh jobs the controller may still submit;
@@ -236,15 +208,14 @@ func (c *Controller) afterPass(s *engine.Simulator, res sched.PassResult) {
 		fresh = math.MaxInt
 	}
 	if fresh > 0 {
-		c.created += c.admit(s, res, pendingWork{run: c.Spec.Runtime}, fresh, tracing.ReasonFresh)
+		c.created += c.admit(s, res, c.Spec.Runtime, fresh, tracing.ReasonFresh)
 	}
 }
 
-// admit starts up to limit interstitial jobs for identical copies of a work
-// unit (useful run time plus any restart overhead), as many as every
-// Figure-1 condition allows, and reports how many it started. reason
-// records whether the unit is fresh work or the continuation of a
-// preempted remainder.
+// admit starts up to limit identical interstitial jobs of the given
+// runtime, as many as every Figure-1 condition allows, and reports how
+// many it started. reason records whether the runtime is a fresh work
+// unit or the remainder of a preempted one.
 //
 // The count k is taken once, as the smallest of four bounds, and equals
 // what k admissions one job at a time would reach: each admission lowers
@@ -254,10 +225,9 @@ func (c *Controller) afterPass(s *engine.Simulator, res sched.PassResult) {
 // k jobs and missed by the next. Each job still gets its own ID, spawn
 // event (with Busy before its start), start and place event, in that
 // order.
-func (c *Controller) admit(s *engine.Simulator, res sched.PassResult, w pendingWork, limit int, reason tracing.Reason) int {
+func (c *Controller) admit(s *engine.Simulator, res sched.PassResult, runtime sim.Time, limit int, reason tracing.Reason) int {
 	now := s.Now()
 	m := s.Machine()
-	runtime := w.run + w.overhead
 	cpus := c.Spec.CPUs
 	k := min(limit, m.Free()/cpus)
 	// Utilization cap (Section 4.3.2.2): do not push instantaneous
@@ -286,9 +256,9 @@ func (c *Controller) admit(s *engine.Simulator, res sched.PassResult, w pendingW
 	t := s.Tracer()
 	for range k {
 		c.nextID++
-		j := c.record(interstitialIDBase+c.nextID, runtime, w.overhead, now)
+		j := c.record(interstitialIDBase+c.nextID, runtime, now)
 		if t != nil {
-			t.Emit(now, tracing.KindSpawn, reason, j.ID, j.CPUs, m.Busy(), int64(w.overhead))
+			t.Emit(now, tracing.KindSpawn, reason, j.ID, j.CPUs, m.Busy(), 0)
 		}
 		s.StartDirect(j)
 		if !c.DiscardRecords {
@@ -329,7 +299,7 @@ func (c *Controller) underCap(k, busy, total int) int {
 // as it would fresh ones. Reusing the newest first scattered them: in
 // two traced fleet-64 passes the merge's digest fold took 0.22 and 0.26 s,
 // against 0.15 and 0.10 s oldest first.
-func (c *Controller) record(id int, runtime, overhead, now sim.Time) *job.Job {
+func (c *Controller) record(id int, runtime, now sim.Time) *job.Job {
 	var j *job.Job
 	if c.spareHead < len(c.spare) {
 		j = c.spare[c.spareHead]
@@ -343,7 +313,6 @@ func (c *Controller) record(id int, runtime, overhead, now sim.Time) *job.Job {
 		j = new(job.Job)
 	}
 	j.ResetInterstitial(id, c.Spec.CPUs, runtime, now)
-	j.Overhead = overhead
 	return j
 }
 

@@ -22,17 +22,6 @@ type Preemption struct {
 	// checkpoint; the rest is resubmitted as a shorter continuation job.
 	// Zero means no checkpointing: killed jobs restart from scratch.
 	CheckpointEvery sim.Time
-	// KillLatency models the time a kill takes to actually release CPUs
-	// (signal delivery, checkpoint flush, epilogue): the freed CPUs stay
-	// occupied by a maintenance-class blocker for this long, delaying
-	// whatever the kill was making room for. Zero means kills are
-	// instantaneous (the pre-fault model).
-	KillLatency sim.Time
-	// RestartOverhead is prepended to every resubmitted continuation job:
-	// the time spent restoring the checkpoint before new progress is made.
-	// It inflates the continuation's wallclock runtime but contributes no
-	// useful work (tracked via job.Overhead). Zero means free restarts.
-	RestartOverhead sim.Time
 }
 
 // preempt kills running interstitial jobs, youngest first, until the
@@ -74,66 +63,30 @@ func (c *Controller) preempt(s *engine.Simulator) bool {
 		if deficit <= 0 {
 			break
 		}
-		c.kill(s, j, tracing.ReasonHeadBlocked)
+		c.kill(s, j)
 		deficit -= j.CPUs
 		killed = true
 	}
 	return killed
 }
 
-// Evict kills one of the controller's running interstitial jobs on behalf
-// of an external actor (a fault injector draining CPUs for a node outage).
-// It reports whether the job was actually evicted: anything that is not a
-// currently-running interstitial job is left untouched. The remainder is
-// requeued exactly as for a preemption kill.
-func (c *Controller) Evict(s *engine.Simulator, j *job.Job) bool {
-	if j.Class != job.Interstitial || j.State != job.Running {
-		return false
-	}
-	c.kill(s, j, tracing.ReasonFaultEvict)
-	return true
-}
-
 // kill aborts one running interstitial job, accounts the lost work, and
-// queues the un-checkpointed remainder for resubmission. With a nil
-// Preempt the kill is instantaneous and nothing is checkpointed. reason
-// records what forced the kill (head-blocked preemption vs. fault
-// eviction).
-func (c *Controller) kill(s *engine.Simulator, j *job.Job, reason tracing.Reason) {
-	var ckpt, latency, restart sim.Time
-	if c.Preempt != nil {
-		ckpt, latency, restart = c.Preempt.CheckpointEvery, c.Preempt.KillLatency, c.Preempt.RestartOverhead
-	}
+// queues the un-checkpointed remainder for resubmission.
+func (c *Controller) kill(s *engine.Simulator, j *job.Job) {
 	now := s.Now()
 	ran := now - j.Start
-	// Only progress past the continuation's own restart overhead is real
-	// work a checkpoint could have captured.
-	progress := ran - j.Overhead
-	if progress < 0 {
-		progress = 0
-	}
 	var kept sim.Time
-	if ckpt > 0 {
-		kept = (progress / ckpt) * ckpt
+	if ckpt := c.Preempt.CheckpointEvery; ckpt > 0 {
+		kept = (ran / ckpt) * ckpt
 	}
 	c.WastedCPUSeconds += float64(j.CPUs) * float64(ran-kept)
 	s.Kill(j)
 	j.Finish = now // record when the job left the machine
 	c.KilledJobs++
 	if t := s.Tracer(); t != nil {
-		t.Emit(now, tracing.KindKill, reason, j.ID, j.CPUs, s.Machine().Busy(), int64(ran))
+		t.Emit(now, tracing.KindKill, tracing.ReasonHeadBlocked, j.ID, j.CPUs, s.Machine().Busy(), int64(ran))
 	}
-	if latency > 0 {
-		// The kill is not instantaneous: a maintenance-class blocker holds
-		// the CPUs for the latency, delaying whatever the kill freed them
-		// for. The latency itself is wasted machine time.
-		c.WastedCPUSeconds += float64(j.CPUs) * float64(latency)
-		c.blockID++
-		b := job.New(killBlockerIDBase+c.blockID, "_kill", "_kill", j.CPUs, latency, latency, now)
-		b.Class = job.Maintenance
-		s.StartDirect(b)
-	}
-	if remaining := (j.Runtime - j.Overhead) - kept; remaining > 0 {
-		c.backlog = append(c.backlog, pendingWork{run: remaining, overhead: restart})
+	if remaining := j.Runtime - kept; remaining > 0 {
+		c.backlog = append(c.backlog, remaining)
 	}
 }

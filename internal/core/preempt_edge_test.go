@@ -38,43 +38,10 @@ func TestKillRaceAtExactFinishTick(t *testing.T) {
 	}
 }
 
-// TestEvictRefusesNonRunningJobs: eviction (the fault injector's entry
-// point) must be a no-op for anything that is not a currently-running
-// interstitial job — finished jobs, natives, and never-started records.
-func TestEvictRefusesNonRunningJobs(t *testing.T) {
-	s := newSim(100)
-	s.Submit(job.New(1, "u", "g", 1, 10, 10, 0))
-	c := NewController(JobSpec{CPUs: 40, Runtime: 50})
-	c.StopAt = 10 // admissions at t=0 and t=10 only
-	attach(t, c, s)
-	s.Run() // everything finishes
-	if len(c.Jobs) == 0 {
-		t.Fatal("no interstitial jobs admitted")
-	}
-	finished := c.Jobs[0]
-	if finished.State != job.Finished {
-		t.Fatalf("job state = %v, want finished", finished.State)
-	}
-	native := job.New(3, "u", "g", 1, 10, 10, 0)
-	unstarted := job.NewInterstitial(interstitialIDBase+999, 1, 10, 0)
-	for name, j := range map[string]*job.Job{
-		"finished interstitial": finished,
-		"native":                native,
-		"unstarted":             unstarted,
-	} {
-		if c.Evict(s, j) {
-			t.Errorf("Evict(%s) = true, want false", name)
-		}
-	}
-	if c.KilledJobs != 0 || c.WastedCPUSeconds != 0 {
-		t.Fatalf("refused evictions still accounted: kills=%d wasted=%v", c.KilledJobs, c.WastedCPUSeconds)
-	}
-}
-
-// TestEvictAtStartInstant kills a job the very tick it started: a
+// TestKillAtStartInstant kills a job the very tick it started: a
 // zero-length run. Nothing ran, so nothing is wasted beyond the kill
 // itself, and the full runtime returns to the backlog.
-func TestEvictAtStartInstant(t *testing.T) {
+func TestKillAtStartInstant(t *testing.T) {
 	s := newSim(100)
 	s.Submit(job.New(1, "u", "g", 1, 10, 10, 0))
 	c := NewController(JobSpec{CPUs: 60, Runtime: 5000})
@@ -86,16 +53,14 @@ func TestEvictAtStartInstant(t *testing.T) {
 		t.Fatalf("jobs = %v, want one running", c.Jobs)
 	}
 	j := c.Jobs[0]
-	if !c.Evict(s, j) {
-		t.Fatal("evicting a running job at its start tick failed")
-	}
+	c.kill(s, j)
 	if j.State != job.Killed || j.Finish != 0 {
 		t.Fatalf("state=%v finish=%d, want killed at 0", j.State, j.Finish)
 	}
 	if c.WastedCPUSeconds != 0 {
 		t.Fatalf("wasted = %v, want 0 for a zero-length run", c.WastedCPUSeconds)
 	}
-	if len(c.backlog) != 1 || c.backlog[0] != (pendingWork{run: 5000}) {
+	if len(c.backlog) != 1 || c.backlog[0] != 5000 {
 		t.Fatalf("backlog = %v, want the whole runtime back", c.backlog)
 	}
 	if err := s.CheckInvariants(); err != nil {

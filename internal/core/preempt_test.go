@@ -72,8 +72,8 @@ func TestPreemptionCheckpointSavesWork(t *testing.T) {
 	}
 	// Remainder (5000-300=4700s) goes to the backlog; the window closed
 	// at 100 so it is never resubmitted.
-	if len(c.backlog) != 1 || c.backlog[0] != (pendingWork{run: 4700}) {
-		t.Fatalf("backlog = %v, want [{4700 0}]", c.backlog)
+	if len(c.backlog) != 1 || c.backlog[0] != 4700 {
+		t.Fatalf("backlog = %v, want [4700]", c.backlog)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestRecycleRefusesLiveOrForeignRecords(t *testing.T) {
 		j.State = st
 		return j
 	}
-	maintenance := job.New(3, "_kill", "_kill", 4, 10, 10, 0)
+	maintenance := job.New(3, "_maint", "_maint", 4, 10, 10, 0)
 	maintenance.Class = job.Maintenance
 	cases := []struct {
 		name    string
@@ -85,12 +85,11 @@ func TestReusedRecordEqualsFresh(t *testing.T) {
 		t.Fatalf("the spare record has no slots to clear: fair share %d/%d, machine %d, finish %d", u, g, old.MachineSlot(), old.FinishSlot())
 	}
 
-	got := c.record(interstitialIDBase+99, 70, 20, 500)
+	got := c.record(interstitialIDBase+99, 70, 500)
 	if got != old {
 		t.Fatal("record allocated instead of reusing the spare record")
 	}
 	want := job.NewInterstitial(interstitialIDBase+99, 10, 70, 500)
-	want.Overhead = 20
 	if !reflect.DeepEqual(*got, *want) {
 		t.Fatalf("reused record\n got %+v\nwant %+v", *got, *want)
 	}

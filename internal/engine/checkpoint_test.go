@@ -41,7 +41,7 @@ type record struct {
 	Class             job.Class
 	CPUs              int
 	Runtime, Estimate sim.Time
-	Overhead, Submit  sim.Time
+	Submit            sim.Time
 	Start, Finish     sim.Time
 	State             job.State
 }
@@ -50,8 +50,7 @@ func recordOf(j *job.Job) record {
 	return record{
 		ID: j.ID, User: j.User, Group: j.Group, Class: j.Class,
 		CPUs: j.CPUs, Runtime: j.Runtime, Estimate: j.Estimate,
-		Overhead: j.Overhead, Submit: j.Submit,
-		Start: j.Start, Finish: j.Finish, State: j.State,
+		Submit: j.Submit, Start: j.Start, Finish: j.Finish, State: j.State,
 	}
 }
 

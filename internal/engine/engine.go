@@ -145,8 +145,8 @@ func (s *Simulator) SetTracer(t *tracing.Tracer) {
 }
 
 // Tracer reports the installed tracer (nil when tracing is off). Layers
-// above the engine — the interstitial controller, fault injectors — emit
-// their decisions through it.
+// above the engine, such as the interstitial controller, emit their
+// decisions through it.
 func (s *Simulator) Tracer() *tracing.Tracer { return s.tracer }
 
 // Stats counts what the simulator did: the scheduler-level view the paper
@@ -420,8 +420,8 @@ func (s *Simulator) finish(r *finishRec) {
 	}
 	s.dirty = true
 	if s.tracer != nil {
-		// A maintenance occupation ending is a capacity restore (outage
-		// repaired, kill-latency blocker released), not a job finish.
+		// A maintenance occupation ending is a capacity restore (a drain
+		// over), not a job finish.
 		kind, reason := tracing.KindFinish, tracing.ReasonNone
 		if j.Class == job.Maintenance {
 			kind, reason = tracing.KindRestore, tracing.ReasonMaintenance
@@ -554,8 +554,8 @@ func (s *Simulator) Interrupted() bool { return s.eng.Interrupted() }
 
 // ScheduleAt runs fn at simulated time t (>= now), in the submit phase so
 // completions at the same instant are observed first and the coalesced
-// scheduling pass still runs after. Fault injectors use this to perturb
-// the machine mid-run.
+// scheduling pass still runs after. A federation uses it to wake a shard
+// at a barrier instant.
 func (s *Simulator) ScheduleAt(t sim.Time, fn func(*Simulator)) {
 	s.eng.SchedulePrio(t, prioSubmit, sim.EventFunc(func(*sim.Engine) {
 		fn(s)

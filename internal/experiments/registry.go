@@ -63,7 +63,7 @@ func ExtensionNames() []string {
 		"ablation-joblength", "ablation-jobwidth", "ablation-guard", "ablation-capsweep",
 		"ablation-preemption", "ablation-prediction", "utilization-sweep",
 		"validate-sampling", "seed-robustness", "correlations",
-		"figure4-outages", "faults-sensitivity", "scale-stream", "federation"}
+		"figure4-outages", "scale-stream", "federation"}
 }
 
 // AllNames lists every runnable experiment, sorted.
@@ -192,8 +192,6 @@ func (g *Registry) runOn(l *Lab, name string) (Renderer, error) {
 		return AblationPreemption(l), nil
 	case "ablation-capsweep":
 		return AblationCapSweep(l), nil
-	case "faults-sensitivity":
-		return FaultsSensitivity(l), nil
 	case "scale-stream":
 		return ScaleStream(l)
 	case "federation":

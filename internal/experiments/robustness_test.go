@@ -172,7 +172,7 @@ func TestRunAllCancellation(t *testing.T) {
 // several worker counts, renders byte-identically to a context-free lab —
 // the unarmed cancellation path must not perturb the kernel.
 func TestBackgroundContextByteIdentical(t *testing.T) {
-	names := []string{"table6", "faults-sensitivity"}
+	names := []string{"table6", "ablation-preemption"}
 	base := Options{Seed: 1, Scale: 0.08, Reps: 4, Samples: 60}
 	rs, _, err := NewRegistry(NewLab(base)).RunAll(names)
 	if err != nil {
@@ -190,58 +190,5 @@ func TestBackgroundContextByteIdentical(t *testing.T) {
 		if got := renderAll(t, rs); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d with background ctx: output differs from context-free run", workers)
 		}
-	}
-}
-
-// TestFaultsSensitivityDeterministicAndMonotone: the faults table must be
-// identical across runs for a fixed seed, and efficiency must decay
-// monotonically along every row as restart overhead grows — each kill
-// charges more dead restart work.
-func TestFaultsSensitivityDeterministicAndMonotone(t *testing.T) {
-	render := func() (*FaultsResult, []byte) {
-		res := FaultsSensitivity(testLab())
-		var buf bytes.Buffer
-		if err := res.Render(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.CSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes()
-	}
-	res, a := render()
-	_, b := render()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("faults table not deterministic:\n%s\n---\n%s", a, b)
-	}
-
-	if len(res.Cells) == 0 {
-		t.Fatal("no rows")
-	}
-	for i, row := range res.Cells {
-		for k := 1; k < len(row); k++ {
-			if row[k].Efficiency > row[k-1].Efficiency+1e-9 {
-				t.Errorf("row %q: efficiency rose %v -> %v from overhead %s to %s",
-					res.RowLabels[i], row[k-1].Efficiency, row[k].Efficiency,
-					res.ColLabels[k-1], res.ColLabels[k])
-			}
-		}
-		if row[0].Efficiency <= 0 {
-			t.Errorf("row %q: zero-overhead efficiency = %v", res.RowLabels[i], row[0].Efficiency)
-		}
-	}
-	// Outage regimes must actually strike and evict somewhere.
-	var struck, evicted int
-	for _, row := range res.Cells[1:] {
-		for _, c := range row {
-			struck += c.Outages
-			evicted += c.Evicted
-		}
-	}
-	if struck == 0 {
-		t.Error("no outage ever struck in the MTBF regimes")
-	}
-	if evicted == 0 {
-		t.Error("no guest was ever evicted in the MTBF regimes")
 	}
 }

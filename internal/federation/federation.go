@@ -1,16 +1,17 @@
 // Package federation simulates a fleet of machines serving one
 // interstitial stream. Each machine is a shard — its own engine, queueing
-// policy, native workload stream, fault schedule, and RNG stream — and a
-// global router grants interstitial work units to shards under a pluggable
-// routing policy (random, round-robin, least-loaded, locality-aware,
+// policy, native workload stream, and RNG stream — and a global router
+// grants interstitial work units to shards under a pluggable routing
+// policy (random, round-robin, least-loaded, locality-aware,
 // work-stealing).
 //
-// Shards advance in parallel between deterministic epoch barriers. At a
-// barrier the fleet (single-threaded) merges every shard's retired records
-// in shard-index order, snapshots a routing View, and applies the next
-// epoch's grants and steals as entitlement deltas on each shard's metered
-// controller — the ddtxn coordinator shape: partitioned state, all
-// cross-shard reads and writes at the merge step. Work units are fungible
+// Shards advance in parallel between deterministic epoch barriers, one
+// simulated hour apart. At a barrier the fleet (single-threaded) merges
+// every shard's retired records in shard-index order, snapshots a routing
+// View, and applies the next epoch's grants and steals as entitlement
+// deltas on each shard's metered controller — the ddtxn coordinator
+// shape: partitioned state, all cross-shard reads and writes at the merge
+// step. Work units are fungible
 // (the paper's interstitial jobs are identical), so routing k units to a
 // shard is raising its controller's Limit by k, and stealing moves that
 // entitlement between shards; shard-local admission stays the exact
@@ -36,7 +37,6 @@ import (
 
 	"interstitial/internal/core"
 	"interstitial/internal/engine"
-	"interstitial/internal/faults"
 	"interstitial/internal/job"
 	"interstitial/internal/rng"
 	"interstitial/internal/sched"
@@ -48,14 +48,15 @@ import (
 )
 
 // Machine is one fleet member: a native workload profile (which embeds
-// the hardware config) plus the machine's queueing policy.
+// the hardware config) plus the machine's queueing policy. Its native
+// workload stream derives from the fleet seed and its shard index.
 type Machine struct {
 	Profile   workload.Profile
 	NewPolicy func() sched.Policy
-	// Seed drives the machine's native workload stream; zero derives a
-	// per-shard stream from the fleet seed.
-	Seed int64
 }
+
+// epochLen is the barrier interval in simulated seconds.
+const epochLen sim.Time = 3600
 
 // UnitSpec describes the identical interstitial work units the fleet
 // routes, in the paper's machine-neutral normalization.
@@ -77,8 +78,6 @@ type Config struct {
 	// Policy routes work units to shards; nil defaults to round-robin.
 	// Ignored in saturate mode (Demand <= 0).
 	Policy Policy
-	// Epoch is the barrier interval in simulated seconds (default 3600).
-	Epoch sim.Time
 	// Unit is the interstitial work unit being routed.
 	Unit UnitSpec
 	// Demand is the offered interstitial load as a fraction of the
@@ -89,24 +88,16 @@ type Config struct {
 	// independently soaks up its own spare cycles, the paper's
 	// single-machine model replicated N times.
 	Demand float64
-	// Faults, when enabled (MTBF > 0), arms a per-shard outage schedule
-	// derived from Faults.Seed and the shard index.
-	Faults faults.Config
 	// Seed drives the router RNG and the derived per-shard streams.
 	Seed int64
-	// StreamBuffer bounds each shard's materialized native jobs
-	// (engine.SubmitStream; <= 0 selects the engine default).
-	StreamBuffer int
 	// Runner executes fn(0..n-1), possibly in parallel; nil runs
 	// serially. The runner must establish happens-before between the
 	// caller and every fn call (any WaitGroup/channel-based pool does).
 	// Output is byte-identical for every runner.
 	Runner func(n int, fn func(i int))
 	// Tracer, when set, records every routing decision (KindRoute) and
-	// steal (KindSteal); it is used only at barriers. ShardTracer, when
-	// set, supplies each shard's engine tracer.
-	Tracer      *tracing.Tracer
-	ShardTracer func(shard int) *tracing.Tracer
+	// steal (KindSteal); it is used only at barriers.
+	Tracer *tracing.Tracer
 	// Span, when set, is the parent under which Run brackets each epoch
 	// barrier (fed.epoch), per-shard advance (fed.shard, with the kernel
 	// events it executed), and the final drain (fed.drain). Route and
@@ -126,7 +117,6 @@ type shard struct {
 	name    string
 	sm      *engine.Simulator
 	ctrl    *core.Controller
-	inj     *faults.Injector
 	horizon sim.Time
 	clock   float64
 	cpus    int
@@ -136,9 +126,7 @@ type shard struct {
 	buf []*job.Job
 	// grants is the FIFO of grant instants for unit-latency tracking:
 	// pushed per granted unit, moved tail-first on steals, popped per
-	// interstitial retirement. Approximate when faults evict units into
-	// continuations (a continuation pops nothing if its unit already
-	// popped — pop reports an empty FIFO).
+	// interstitial retirement.
 	grants grantFIFO
 	// wake marks the shard for a barrier-instant pass: route sets it when
 	// the shard's entitlement grows.
@@ -164,9 +152,6 @@ type ShardStats struct {
 	// Utilization over the shard's whole run window [0, Now].
 	Utilization float64
 	NativeUtil  float64
-	// Fault outcome (zero without faults).
-	Struck  int
-	Evicted int
 }
 
 // Stats is the fleet-level outcome.
@@ -207,18 +192,15 @@ type Fleet struct {
 }
 
 // New validates the configuration and builds every shard: engine, metered
-// controller, native stream, fault schedule. An empty fleet is an error,
-// not a degenerate success — a router with nowhere to route is a
-// misconfiguration the caller must see.
+// controller, native stream. An empty fleet is an error, not a degenerate
+// success — a router with nowhere to route is a misconfiguration the
+// caller must see.
 func New(cfg Config) (*Fleet, error) {
 	if len(cfg.Machines) == 0 {
 		return nil, fmt.Errorf("federation: empty fleet (no machines)")
 	}
 	if cfg.Unit.CPUs < 1 || cfg.Unit.Seconds1GHz <= 0 {
 		return nil, fmt.Errorf("federation: invalid unit spec %+v", cfg.Unit)
-	}
-	if cfg.Epoch <= 0 {
-		cfg.Epoch = 3600
 	}
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
@@ -241,19 +223,12 @@ func New(cfg Config) (*Fleet, error) {
 	for i, m := range cfg.Machines {
 		p := m.Profile
 		horizon := p.Duration()
-		seed := m.Seed
-		if seed == 0 {
-			seed = rng.DeriveSeed(cfg.Seed, uint64(i))
-		}
-		src, err := workload.NewStream(p, seed)
+		src, err := workload.NewStream(p, rng.DeriveSeed(cfg.Seed, uint64(i)))
 		if err != nil {
 			return nil, fmt.Errorf("federation: shard %d (%s): %w", i, p.Machine.Name, err)
 		}
 		sm := engine.New(p.Machine, m.NewPolicy())
 		sm.SetContext(cfg.Ctx)
-		if cfg.ShardTracer != nil {
-			sm.SetTracer(cfg.ShardTracer(i))
-		}
 		sh := &shard{
 			idx: i, name: p.Machine.Name, sm: sm,
 			horizon: horizon, clock: p.Machine.ClockGHz, cpus: p.Machine.CPUs,
@@ -268,16 +243,7 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("federation: shard %d (%s): %w", i, p.Machine.Name, err)
 		}
 		sh.ctrl = ctrl
-		if cfg.Faults.MTBF > 0 {
-			fc := cfg.Faults
-			fc.Seed = rng.DeriveSeed(fc.Seed, 1<<32|uint64(i))
-			outages, err := faults.NewSchedule(fc, horizon, p.Machine.CPUs)
-			if err != nil {
-				return nil, fmt.Errorf("federation: shard %d (%s): %w", i, p.Machine.Name, err)
-			}
-			sh.inj = faults.Attach(sm, outages, ctrl)
-		}
-		sm.SubmitStream(src, cfg.StreamBuffer)
+		sm.SubmitStream(src, 0)
 		f.shards = append(f.shards, sh)
 		if horizon > f.horizon {
 			f.horizon = horizon
@@ -303,21 +269,21 @@ func (f *Fleet) Run() error {
 	f.ran = true
 	var epoch uint64
 	var last sim.Time
-	for t := sim.Time(0); t < f.horizon; t += f.cfg.Epoch {
+	for t := sim.Time(0); t < f.horizon; t += epochLen {
 		ep := f.cfg.Span.Child("fed.epoch", epoch, int64(t)).Attr("epoch", int64(epoch))
 		if f.metered {
 			f.refreshView(t)
 			f.route(t)
 		}
-		f.advanceTo(t, t+f.cfg.Epoch, ep)
+		f.advanceTo(t, t+epochLen, ep)
 		if err := f.interrupted(); err != nil {
 			return err
 		}
 		f.merge()
 		f.stats.Barriers++
-		ep.End(int64(t + f.cfg.Epoch))
+		ep.End(int64(t + epochLen))
 		epoch++
-		last = t + f.cfg.Epoch
+		last = t + epochLen
 	}
 	dr := f.cfg.Span.Child("fed.drain", epoch, int64(last))
 	f.drainSpanned(last, dr)
@@ -570,7 +536,7 @@ func (f *Fleet) route(t sim.Time) {
 	unitCost := float64(f.cfg.Unit.CPUs) * f.cfg.Unit.Seconds1GHz
 	capacity := 0.0
 	for _, s := range f.view.Shards {
-		capacity += float64(s.CPUs) * s.ClockGHz * float64(f.cfg.Epoch)
+		capacity += float64(s.CPUs) * s.ClockGHz * float64(epochLen)
 	}
 	unitsF := f.carry + f.cfg.Demand*capacity/unitCost
 	n := int(unitsF)
@@ -617,8 +583,8 @@ func (f *Fleet) route(t sim.Time) {
 	}
 }
 
-// finish fills the per-shard outcome (utilization splits, fault counters)
-// and the policy's migration total after the drain.
+// finish fills the per-shard outcome (utilization splits) and the
+// policy's migration total after the drain.
 func (f *Fleet) finish() {
 	f.stats.Shards = make([]ShardStats, len(f.shards))
 	for i, sh := range f.shards {
@@ -627,10 +593,6 @@ func (f *Fleet) finish() {
 			capacity := float64(sh.cpus) * float64(now)
 			sh.st.NativeUtil = nat / capacity
 			sh.st.Utilization = (nat + inter) / capacity
-		}
-		if sh.inj != nil {
-			sh.st.Struck = sh.inj.Struck
-			sh.st.Evicted = sh.inj.Evicted
 		}
 		f.stats.Shards[i] = sh.st
 	}
@@ -648,7 +610,7 @@ func (f *Fleet) Stats() Stats { return f.stats }
 func (f *Fleet) Digest() uint64 { return uint64(f.digest) }
 
 // UnitLatency summarizes grant-to-retirement latency of the routed work
-// units, in seconds (approximate under fault evictions; see shard).
+// units, in seconds.
 func (f *Fleet) UnitLatency() Stat { return f.unitLat.Summary() }
 
 // NativeWait summarizes native queue waits across the fleet, in seconds.

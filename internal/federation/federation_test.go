@@ -6,7 +6,6 @@ import (
 
 	"interstitial/internal/core"
 	"interstitial/internal/engine"
-	"interstitial/internal/faults"
 	"interstitial/internal/federation"
 	"interstitial/internal/job"
 	"interstitial/internal/rng"
@@ -41,7 +40,7 @@ func tinyFleet(n int, f float64) []federation.Machine {
 	return ms
 }
 
-func runFleet(t *testing.T, n int, route string, runner func(int, func(int)), fc faults.Config, demand float64) *federation.Fleet {
+func runFleet(t *testing.T, n int, route string, runner func(int, func(int)), demand float64) *federation.Fleet {
 	t.Helper()
 	pol, err := federation.ParsePolicy(route)
 	if err != nil {
@@ -53,7 +52,6 @@ func runFleet(t *testing.T, n int, route string, runner func(int, func(int)), fc
 		Unit:     federation.UnitSpec{CPUs: 16, Seconds1GHz: 300},
 		Demand:   demand,
 		Seed:     7,
-		Faults:   fc,
 		Runner:   runner,
 	})
 	if err != nil {
@@ -80,7 +78,7 @@ func reverseRunner(n int, fn func(int)) {
 func TestFederationDeterministic(t *testing.T) {
 	const shards = 64
 	route := "work-stealing:batch=2,victim=max"
-	ref := runFleet(t, shards, route, nil, faults.Config{}, 0.3)
+	ref := runFleet(t, shards, route, nil, 0.3)
 	if ref.Stats().Units == 0 || ref.Stats().InterstDone == 0 {
 		t.Fatalf("vacuous run: %+v", ref.Stats())
 	}
@@ -91,7 +89,7 @@ func TestFederationDeterministic(t *testing.T) {
 		"repeat":    nil,
 	}
 	for name, r := range runners {
-		fl := runFleet(t, shards, route, r, faults.Config{}, 0.3)
+		fl := runFleet(t, shards, route, r, 0.3)
 		if fl.Digest() != ref.Digest() {
 			t.Errorf("%s: digest %016x != serial %016x", name, fl.Digest(), ref.Digest())
 		}
@@ -110,8 +108,8 @@ func TestPoliciesDeterministic(t *testing.T) {
 		"locality:spread=2", "work-stealing:batch=2,victim=random",
 	} {
 		t.Run(route, func(t *testing.T) {
-			a := runFleet(t, 6, route, nil, faults.Config{}, 0.3)
-			b := runFleet(t, 6, route, federation.ParallelRunner(4), faults.Config{}, 0.3)
+			a := runFleet(t, 6, route, nil, 0.3)
+			b := runFleet(t, 6, route, federation.ParallelRunner(4), 0.3)
 			if a.Digest() != b.Digest() {
 				t.Errorf("digest %016x (serial) != %016x (workers=4)", a.Digest(), b.Digest())
 			}
@@ -169,30 +167,6 @@ func TestSingleShardMatchesPlainEngine(t *testing.T) {
 	}
 }
 
-// TestAllShardsDown: full-machine outages on every shard. The fleet must
-// complete (entitlement parks as backlog, nothing deadlocks) and stay
-// deterministic across worker counts.
-func TestAllShardsDown(t *testing.T) {
-	fc := faults.Config{Seed: 3, MTBF: 4 * 3600, MeanRepair: 24 * 3600, LossFrac: 1.0}
-	a := runFleet(t, 4, "work-stealing:batch=2,victim=max", nil, fc, 0.3)
-	b := runFleet(t, 4, "work-stealing:batch=2,victim=max", federation.ParallelRunner(4), fc, 0.3)
-	if a.Digest() != b.Digest() {
-		t.Errorf("digest %016x (serial) != %016x (workers=4)", a.Digest(), b.Digest())
-	}
-	struck := 0
-	for _, s := range a.Stats().Shards {
-		struck += s.Struck
-	}
-	if struck == 0 {
-		t.Errorf("no outage ever struck: %+v", a.Stats().Shards)
-	}
-	nofault := runFleet(t, 4, "work-stealing:batch=2,victim=max", nil, faults.Config{}, 0.3)
-	if a.Stats().InterstDone >= nofault.Stats().InterstDone {
-		t.Errorf("outages on every shard did not reduce interstitial completions: %d >= %d",
-			a.Stats().InterstDone, nofault.Stats().InterstDone)
-	}
-}
-
 // TestEmptyFleet: a router with nowhere to route is a configuration
 // error, not a silent no-op.
 func TestEmptyFleet(t *testing.T) {
@@ -228,7 +202,7 @@ func TestFleetCancellation(t *testing.T) {
 
 // TestFleetRunOnce: a fleet is single-use.
 func TestFleetRunOnce(t *testing.T) {
-	fl := runFleet(t, 2, "round-robin", nil, faults.Config{}, 0.3)
+	fl := runFleet(t, 2, "round-robin", nil, 0.3)
 	if err := fl.Run(); err == nil {
 		t.Fatalf("second Run did not error")
 	}
@@ -237,7 +211,7 @@ func TestFleetRunOnce(t *testing.T) {
 // TestLocalityMigrationsSurface: the locality policy's home moves appear
 // in the fleet stats.
 func TestLocalityMigrationsSurface(t *testing.T) {
-	fl := runFleet(t, 6, "locality:spread=1", nil, faults.Config{}, 0.5)
+	fl := runFleet(t, 6, "locality:spread=1", nil, 0.5)
 	if fl.Stats().Migrations == 0 {
 		t.Fatalf("spread=1 forced a migration on every backlogged pick, but none were counted")
 	}

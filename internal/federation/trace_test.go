@@ -7,8 +7,7 @@ import (
 	"interstitial/internal/tracing"
 )
 
-// traceFleet builds a small mixed fleet with fleet- and shard-level
-// tracers installed.
+// traceFleet builds a small mixed fleet with a fleet tracer installed.
 func traceFleet(t *testing.T, route string, demand float64) (*Fleet, *tracing.Collector) {
 	t.Helper()
 	all := testbed.All()
@@ -37,9 +36,6 @@ func traceFleet(t *testing.T, route string, demand float64) (*Fleet, *tracing.Co
 		Demand:   demand,
 		Seed:     13,
 		Tracer:   col.Tracer("fleet", "fleet", total),
-		ShardTracer: func(i int) *tracing.Tracer {
-			return col.Tracer(machines[i].Profile.Machine.Name, machines[i].Profile.Machine.Name, machines[i].Profile.Machine.CPUs)
-		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -87,7 +87,7 @@ type Job struct {
 	// fair-share tree that ordered or charged it. The tree checks each
 	// against the name it stores at that number before use, so a slot
 	// from another tree, a clone or a restored record simply re-resolves.
-	// They sit in padding: the record stays 128 bytes.
+	// They sit in padding: the record stays 120 bytes.
 	userSlot int32
 
 	// CPUs is the fixed processor count the job needs; it must be >= 1.
@@ -97,11 +97,6 @@ type Job struct {
 	// Estimate is the user-supplied runtime estimate the scheduler plans
 	// with. On real machines it grossly overestimates Runtime.
 	Estimate sim.Time
-	// Overhead is the leading portion of Runtime that is restart dead
-	// weight rather than useful work: a preempted-and-resubmitted
-	// interstitial continuation spends this long re-reading its checkpoint
-	// before making new progress. Zero for fresh jobs.
-	Overhead sim.Time
 
 	// Submit, Start and Finish record the job's lifecycle times. Start and
 	// Finish are -1 until the transition happens.
@@ -261,8 +256,6 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("job %d: finish %d != start %d + runtime %d", j.ID, j.Finish, j.Start, j.Runtime)
 	case j.State == Killed && (j.Finish < 0 || j.Finish > j.Start+j.Runtime):
 		return fmt.Errorf("job %d: killed at %d outside its execution window", j.ID, j.Finish)
-	case j.Overhead < 0 || j.Overhead > j.Runtime:
-		return fmt.Errorf("job %d: overhead %d outside [0, runtime %d]", j.ID, j.Overhead, j.Runtime)
 	}
 	return nil
 }

@@ -219,14 +219,14 @@ func TestValidateFieldErrors(t *testing.T) {
 	}
 }
 
-// TestJobRecordSize pins the record at 128 bytes, two cache lines. The
-// fair-share, finish and machine slots are int32s packed into the padding
-// after Class and State and into one word at the end; growing the record
-// costs memory wherever jobs sit materialized — a 64-shard fleet keeps
-// ~262k streamed jobs live (64 × a 4096-job buffer), and a 168-byte record
-// raised its peak RSS by ~14%.
+// TestJobRecordSize pins the record at 120 bytes, within two cache lines.
+// The fair-share, finish and machine slots are int32s packed into the
+// padding after Class and State and into one word at the end; growing the
+// record costs memory wherever jobs sit materialized — a 64-shard fleet
+// keeps ~262k streamed jobs live (64 × a 4096-job buffer), and a 168-byte
+// record raised its peak RSS by ~14%.
 func TestJobRecordSize(t *testing.T) {
-	if got := unsafe.Sizeof(Job{}); got != 128 {
-		t.Fatalf("job.Job is %d bytes, want 128", got)
+	if got := unsafe.Sizeof(Job{}); got != 120 {
+		t.Fatalf("job.Job is %d bytes, want 120", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package tracing records every scheduler decision a simulation makes as
 // a typed, fixed-size event: native submissions, head-of-queue starts,
-// backfill hole fills, interstitial spawn/place/kill decisions, fault
-// outages, and capacity restores. The paper's tables are aggregates over
+// backfill hole fills, interstitial spawn/place/kill decisions, and
+// capacity restores. The paper's tables are aggregates over
 // millions of such decisions; a trace makes one run auditable — *why* did
 // this efficiency number move — without re-deriving the event stream from
 // counters.
@@ -51,19 +51,17 @@ const (
 	// KindFinish: a native or interstitial job ran to completion.
 	KindFinish
 	// KindSpawn: the interstitial controller admitted one work unit
-	// (fresh, or a continuation of preempted work).
+	// (fresh, or a continuation of preempted work). Aux is always 0.
 	KindSpawn
 	// KindPlace: a job was placed directly on the machine, bypassing the
 	// native queue (interstitial fill, omniscient pack batch, or a
-	// maintenance blocker occupying CPUs).
+	// maintenance-class job occupying CPUs).
 	KindPlace
 	// KindKill: a running interstitial job was killed (youngest-first
-	// preemption for the native head, or a fault eviction).
+	// preemption for the native head).
 	KindKill
-	// KindOutage: a fault took machine capacity down.
-	KindOutage
-	// KindRestore: a maintenance occupation ended — outage repaired or
-	// kill-latency blocker released — returning CPUs to the pool.
+	// KindRestore: a maintenance occupation (a scheduled drain) ended,
+	// returning CPUs to the pool.
 	KindRestore
 	// KindRunBegin / KindRunEnd bracket one kernel run (sim.Engine.Run /
 	// RunUntil); RunEnd's Aux carries the events executed so far.
@@ -89,7 +87,6 @@ var kindNames = [kindCount]string{
 	KindSpawn:    "spawn",
 	KindPlace:    "place",
 	KindKill:     "kill",
-	KindOutage:   "outage",
 	KindRestore:  "restore",
 	KindRunBegin: "run-begin",
 	KindRunEnd:   "run-end",
@@ -149,16 +146,12 @@ const (
 	// packer (Job carries the batch index, Aux the batch size).
 	ReasonInterstitialFill
 	ReasonOmniscientPack
-	// ReasonMaintenance: a maintenance-class occupation (down job or
-	// kill-latency blocker) took the CPUs.
+	// ReasonMaintenance: a maintenance-class occupation (a scheduled
+	// drain) took the CPUs or, on a restore, gave them back.
 	ReasonMaintenance
 	// ReasonHeadBlocked: killed youngest-first because it stood between
 	// the native head job and its CPUs.
 	ReasonHeadBlocked
-	// ReasonFaultEvict: killed to clear CPUs lost to a node outage.
-	ReasonFaultEvict
-	// ReasonNodeLoss: the outage itself.
-	ReasonNodeLoss
 	// ReasonRouted: the federation policy picked this shard for a fresh
 	// work unit. ReasonMigrated: the pick moved a locality-aware policy's
 	// home shard. ReasonStolen: the unit's entitlement moved to an idle
@@ -182,8 +175,6 @@ var reasonNames = [reasonCount]string{
 	ReasonOmniscientPack:       "omniscient-pack",
 	ReasonMaintenance:          "maintenance",
 	ReasonHeadBlocked:          "head-blocked",
-	ReasonFaultEvict:           "fault-evict",
-	ReasonNodeLoss:             "node-loss",
 	ReasonRouted:               "routed",
 	ReasonMigrated:             "migrated",
 	ReasonStolen:               "stolen",
@@ -226,16 +217,15 @@ type Event struct {
 	// Job is the job the decision concerns (0 when none, e.g. run
 	// boundaries; the omniscient packer stores the batch index).
 	Job int
-	// CPUs is the CPU count the decision moved (job width, outage size).
+	// CPUs is the CPU count the decision moved (job width, drain size).
 	CPUs int
 	// Busy is the machine's busy CPU count *after* the decision, or
 	// NoBusy when the event has no machine context. It is the
 	// utilization counter track of the timeline export.
 	Busy int
 	// Aux is kind-specific: submit → user estimate; start/backfill →
-	// wait seconds; spawn → restart overhead paid up front; finish/place
-	// → runtime; kill → victim age (seconds since start); outage →
-	// duration; run-end → events executed.
+	// wait seconds; spawn → 0; finish/place → runtime; kill → victim age
+	// (seconds since start); run-end → events executed.
 	Aux int64
 }
 

@@ -143,8 +143,8 @@ func TestCollectorRunsSorted(t *testing.T) {
 
 // testCollector builds a two-run collector exercising most of the event
 // taxonomy: a machine run with a full job lifecycle (submit, start,
-// backfill, spawn, kill, outage, restore, finishes) and a machineless
-// pack run.
+// backfill, spawn, kill, a maintenance drain's place and restore,
+// finishes) and a machineless pack run.
 func testCollector() *Collector {
 	c := NewCollector(0)
 	tr := c.Tracer("demo/machine", "Demo", 16)
@@ -156,7 +156,7 @@ func testCollector() *Collector {
 	tr.Emit(10, KindSpawn, ReasonFresh, 1000001, 2, 12, 0)
 	tr.Emit(10, KindPlace, ReasonInterstitialFill, 1000001, 2, 14, 120)
 	tr.Emit(40, KindKill, ReasonHeadBlocked, 1000001, 2, 12, 30)
-	tr.Emit(50, KindOutage, ReasonNodeLoss, 900001, 4, 16, 3600)
+	tr.Emit(50, KindPlace, ReasonMaintenance, 900001, 4, 16, 3600)
 	tr.Emit(100, KindFinish, ReasonNone, 2, 4, 12, 95)
 	tr.Emit(200, KindFinish, ReasonNone, 1, 8, 4, 200)
 	tr.Emit(3650, KindRestore, ReasonMaintenance, 900001, 4, 0, 0)
@@ -347,7 +347,7 @@ func TestSummarize(t *testing.T) {
 	if len(s.Runs) != 2 || s.Emitted != 15 || s.Dropped != 0 {
 		t.Fatalf("summary = %d runs, %d emitted, %d dropped", len(s.Runs), s.Emitted, s.Dropped)
 	}
-	if s.ByKind[KindPlace] != 3 || s.ByDecision["place/omniscient-pack"] != 2 {
+	if s.ByKind[KindPlace] != 4 || s.ByDecision["place/omniscient-pack"] != 2 {
 		t.Fatalf("place counts = %d kind, %d pack", s.ByKind[KindPlace], s.ByDecision["place/omniscient-pack"])
 	}
 	if len(s.VictimAges) != 1 || s.VictimAges[0] != 30 {
