@@ -123,19 +123,18 @@ examples:
 # Table 2 and Table 5 regeneration (omniscient packings and project
 # co-simulations) — decision events and the span tree in one file — with
 # a provenance manifest, validate the file (runs, events, AND spans)
-# against the schema, render the tracescope report, then export a Table 2
-# run, and a birminator run, to Perfetto. The trace_demo.* artifacts are
-# gitignored.
+# against the schema, render the tracescope report, then trace a
+# birminator continual run and validate that file too. The trace_demo.*
+# artifacts are gitignored.
 trace-demo:
 	$(GO) run ./cmd/experiments -scale 0.05 -workers 4 -trace trace_demo.jsonl \
 		-manifest trace_demo.manifest.json table2 table5
 	$(GO) run ./cmd/tracescope -check trace_demo.jsonl
 	$(GO) run ./cmd/tracescope trace_demo.jsonl
 	grep -q '"digest"' trace_demo.manifest.json
-	$(GO) run ./cmd/experiments -scale 0.05 -workers 4 -trace trace_demo.chrome.json \
-		-trace-format chrome table2
 	$(GO) run ./cmd/birminator -machine Ross -scale 0.02 -interstitial-cpus 8 \
-		-trace trace_demo.birminator.json -trace-format chrome
+		-trace trace_demo.birminator.jsonl
+	$(GO) run ./cmd/tracescope -check trace_demo.birminator.jsonl
 
 # Coverage profiles (cover*.out, *.coverprofile) are build artifacts:
 # gitignored, cleaned here, and the CI "No committed build artifacts"

@@ -8,14 +8,14 @@
 //	birminator -machine "Blue Mountain" [-replay log.swf] [-seed 1]
 //	           [-interstitial-cpus 32] [-interstitial-sec1ghz 120]
 //	           [-utilcap 0.95] [-project-jobs 0] [-project-start-h 100]
-//	           [-trace file [-trace-format f] [-trace-sample N]]
+//	           [-trace file [-trace-sample N]]
 //
 // With no -replay, a calibrated synthetic log is generated. With
 // -interstitial-cpus 0 the run is native-only. -project-jobs > 0 runs a
 // finite project instead of continual submission. -trace records every
-// scheduler decision of the run and writes it to the given file in
-// -trace-format (jsonl, chrome for Perfetto, or audit CSV), keeping at
-// most -trace-sample events (0 = all). Invalid flags (unknown machine,
+// scheduler decision of the run and writes it to the given file as JSONL
+// (the schema cmd/tracescope validates and reports on), keeping at most
+// -trace-sample events (0 = all). Invalid flags (unknown machine,
 // negative seed, utilcap outside [0,1], ...) are rejected up front with
 // exit status 2.
 package main
@@ -48,11 +48,9 @@ func main() {
 	projJobs := flag.Int("project-jobs", 0, "finite project size in jobs (0 = continual)")
 	projStartH := flag.Float64("project-start-h", 0, "project start time in hours")
 	dump := flag.String("dump", "", "write the simulated schedule (native + interstitial records, with waits) as SWF to this file")
-	tracePath := flag.String("trace", "", "record every scheduler decision and write the trace to this file")
-	traceFormat := flag.String("trace-format", "jsonl", "trace export format: jsonl, chrome (Perfetto-loadable), or audit (per-job CSV)")
+	tracePath := flag.String("trace", "", "record every scheduler decision and write them to this file as JSONL")
 	traceSample := flag.Int("trace-sample", 0, "max events kept in the trace, head/tail sampled (0 = keep all)")
 	flag.Parse()
-	format, formatErr := tracing.ParseFormat(*traceFormat)
 
 	usageError := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "birminator: "+format+"\n", args...)
@@ -77,12 +75,8 @@ func main() {
 		usageError("-project-jobs %d is negative", *projJobs)
 	case *projStartH < 0:
 		usageError("-project-start-h %g is negative", *projStartH)
-	case formatErr != nil:
-		usageError("-trace-format: %v", formatErr)
 	case *traceSample < 0:
 		usageError("-trace-sample %d is negative", *traceSample)
-	case *traceFormat != "jsonl" && *tracePath == "":
-		usageError("-trace-format without -trace")
 	case *traceSample > 0 && *tracePath == "":
 		usageError("-trace-sample without -trace")
 	}
@@ -198,15 +192,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := tracing.Export(f, collector, nil, format); err != nil {
+		if err := tracing.WriteJSONL(f, collector, nil); err != nil {
 			f.Close()
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trace: %d events emitted (%d dropped) -> %s (%s)\n",
-			tracer.Emitted(), tracer.Dropped(), *tracePath, format)
+		fmt.Printf("trace: %d events emitted (%d dropped) -> %s\n",
+			tracer.Emitted(), tracer.Dropped(), *tracePath)
 	}
 }
 

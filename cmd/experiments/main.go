@@ -5,7 +5,7 @@
 //	experiments [-seed N] [-scale F] [-reps N] [-samples N] [-workers N]
 //	            [-fleet N] [-route policy] [-timeout D] [-csv dir]
 //	            [-metrics] [-manifest file] [-pprof addr]
-//	            [-trace file [-trace-format f] [-trace-sample N]]
+//	            [-trace file [-trace-sample N]]
 //	            [names...]
 //
 // Experiments run concurrently on a worker pool bounded by -workers
@@ -21,24 +21,20 @@
 // Both are observation-only: the rendered tables on stdout are
 // byte-identical with or without them.
 //
-// -trace records one trace of the run and writes it to one file on exit:
-// every scheduler decision of every simulation of a job log the run
-// performs (each baseline and continual run and every experiment's
+// -trace records one trace of the run and writes it to one JSONL file on
+// exit: every scheduler decision of every simulation of a job log the
+// run performs (each baseline and continual run and every experiment's
 // scenarios; federation shards record only the fleet's route and steal
 // events, and scale-stream's streamed runs are not traced), and the
 // run's span tree — the run, each experiment, every fan-out cell, the
 // shared sweeps, and (for the federation study) each fleet's epochs and
-// shard advances. -trace-format picks the file's form: jsonl (the run
-// and event lines, then the span lines: the schema cmd/tracescope
-// validates and reports on), chrome (load in Perfetto or
-// chrome://tracing; one process per machine run, then one per span
-// trace), or audit (per-job lifecycle CSV of the decisions; spans have
-// no audit form). -trace-sample N bounds memory on long runs by keeping
-// the first N/2 and last ~N/2 events per run; use it for "extensions",
-// which records 84 runs at -scale 0.05. Span IDs derive from the
-// seed and all instants are logical or simulated time, so the file is
-// byte-identical at any -workers. All of it is observation-only: stdout
-// stays byte-identical.
+// shard advances. The file holds the run and event lines, then the span
+// lines: the schema cmd/tracescope validates and reports on.
+// -trace-sample N bounds memory on long runs by keeping the first N/2
+// and last ~N/2 events per run; use it for "extensions", which records
+// 84 runs at -scale 0.05. Span IDs derive from the seed and all instants
+// are logical or simulated time, so the file is byte-identical at any
+// -workers. All of it is observation-only: stdout stays byte-identical.
 //
 // -manifest writes the run's provenance record as JSON: seed, scale,
 // workers, config knobs, experiment list, the FNV-1a digest of the
@@ -110,13 +106,11 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump the metric registry and per-experiment timing to stderr after the run")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and /metrics on this address (e.g. localhost:6060)")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long, keeping completed tables (0 = no limit)")
-	tracePath := flag.String("trace", "", "record every scheduler decision and the span tree, and write the trace to this file")
-	traceFormat := flag.String("trace-format", "jsonl", "trace export format: jsonl, chrome (Perfetto-loadable), or audit (per-job CSV)")
+	tracePath := flag.String("trace", "", "record every scheduler decision and the span tree, and write them to this file as JSONL")
 	traceSample := flag.Int("trace-sample", 0, "max events kept per traced run, head/tail sampled (0 = keep all)")
 	manifestPath := flag.String("manifest", "", "write the run's provenance manifest (seed, config, output digest, metrics) as JSON to this file")
 	list := flag.Bool("list", false, "print the valid experiment names and exit")
 	flag.Parse()
-	format, formatErr := tracing.ParseFormat(*traceFormat)
 	switch {
 	case *seed < 0:
 		usageError("-seed %d is negative", *seed)
@@ -132,12 +126,8 @@ func main() {
 		usageError("-fleet %d is negative", *fleet)
 	case *timeout < 0:
 		usageError("-timeout %v is negative", *timeout)
-	case formatErr != nil:
-		usageError("-trace-format: %v", formatErr)
 	case *traceSample < 0:
 		usageError("-trace-sample %d is negative", *traceSample)
-	case *traceFormat != "jsonl" && *tracePath == "":
-		usageError("-trace-format without -trace")
 	case *traceSample > 0 && *tracePath == "":
 		usageError("-trace-sample without -trace")
 	}
@@ -174,10 +164,8 @@ func main() {
 	if *tracePath != "" {
 		collector = tracing.NewCollector(*traceSample)
 		lab.SetTracing(collector)
-		if format != tracing.FormatAudit { // the audit table has no form for spans
-			spanRec = span.NewRecorder()
-			lab.SetSpans(spanRec)
-		}
+		spanRec = span.NewRecorder()
+		lab.SetSpans(spanRec)
 	}
 
 	if *pprofAddr != "" {
@@ -268,14 +256,14 @@ func main() {
 	}
 	if *tracePath != "" {
 		if err := writeFileWith(*tracePath, func(w io.Writer) error {
-			return tracing.Export(w, collector, spanRec.Spans(), format)
+			return tracing.WriteJSONL(w, collector, spanRec.Spans())
 		}); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: trace: %v\n", err)
 			os.Exit(1)
 		}
 		emitted, dropped := collector.Totals()
-		fmt.Fprintf(os.Stderr, "experiments: trace: %d runs, %d events emitted (%d dropped), %d spans -> %s (%s)\n",
-			len(collector.Runs()), emitted, dropped, spanRec.Len(), *tracePath, format)
+		fmt.Fprintf(os.Stderr, "experiments: trace: %d runs, %d events emitted (%d dropped), %d spans -> %s\n",
+			len(collector.Runs()), emitted, dropped, spanRec.Len(), *tracePath)
 	}
 	if *manifestPath != "" {
 		o := lab.Options()

@@ -358,9 +358,10 @@ func (s *Simulator) SubmitNow(j *job.Job) {
 }
 
 // StartDirect places j on the machine immediately, bypassing the native
-// queue. The interstitial controller uses this after it has verified the
-// job fits the pass's plan. The job's finish event is scheduled and will
-// trigger a new pass like any other completion.
+// queue. Only the interstitial controller calls it, after verifying the
+// job fits the pass's plan, so every direct start is traced as
+// place/interstitial-fill (drains start through the queue). The job's
+// finish event is scheduled and triggers a new pass like any completion.
 func (s *Simulator) StartDirect(j *job.Job) {
 	now := s.eng.Now()
 	if j.Submit < 0 || j.Submit > now {
@@ -370,11 +371,7 @@ func (s *Simulator) StartDirect(j *job.Job) {
 	s.stats.DirectStarts++
 	s.dirty = true
 	if s.tracer != nil {
-		reason := tracing.ReasonInterstitialFill
-		if j.Class == job.Maintenance {
-			reason = tracing.ReasonMaintenance
-		}
-		s.tracer.Emit(now, tracing.KindPlace, reason, j.ID, j.CPUs, s.m.Busy(), int64(j.Runtime))
+		s.tracer.Emit(now, tracing.KindPlace, tracing.ReasonInterstitialFill, j.ID, j.CPUs, s.m.Busy(), int64(j.Runtime))
 	}
 	s.scheduleFinish(j)
 }

@@ -8,6 +8,7 @@ import (
 	"interstitial/internal/machine"
 	"interstitial/internal/sched"
 	"interstitial/internal/sim"
+	"interstitial/internal/tracing"
 )
 
 func cfg(cpus int) machine.Config {
@@ -520,5 +521,49 @@ func TestBackfillCounted(t *testing.T) {
 	s.Run()
 	if st := s.Stats(); st.Backfilled != 1 {
 		t.Errorf("backfilled = %d, want 1", st.Backfilled)
+	}
+}
+
+// TestDrainTrace: a full-machine maintenance drain in a traced log
+// enters through the queue, starts once (its wait in Aux), and gives
+// its CPUs back with one restore. It is never placed or finished.
+func TestDrainTrace(t *testing.T) {
+	const drainID = 900
+	drain := job.New(drainID, "_maint", "_maint", 10, 200, 200, 50)
+	drain.Class = job.Maintenance
+	s := New(cfg(10), sched.NewLSF())
+	tr := tracing.NewCollector(0).Tracer("drain", "test", 10)
+	s.SetTracer(tr)
+	s.Submit(
+		job.New(1, "u", "g", 8, 100, 100, 0), // runs [0,100): the drain waits for it
+		drain,
+		job.New(2, "u", "g", 2, 30, 30, 60),  // backfills [60,90) ahead of the drain
+		job.New(3, "u", "g", 4, 50, 50, 150), // waits out the drain
+	)
+	s.Run()
+	if drain.Start != 100 || drain.Finish != 300 {
+		t.Fatalf("drain ran [%d,%d), want [100,300)", drain.Start, drain.Finish)
+	}
+	var got []tracing.Event
+	for _, e := range tr.Events() {
+		if e.Job != drainID {
+			continue
+		}
+		if e.Kind == tracing.KindFinish || e.Kind == tracing.KindPlace {
+			t.Errorf("drain got a %s/%s event at %d", e.Kind, e.Reason, e.At)
+		}
+		got = append(got, e)
+	}
+	if len(got) != 3 {
+		t.Fatalf("drain has %d events, want submit, start and restore: %+v", len(got), got)
+	}
+	if e := got[0]; e.Kind != tracing.KindSubmit || e.Reason != tracing.ReasonQueued || e.At != 50 {
+		t.Errorf("first drain event = %s/%s at %d, want submit/queued at 50", e.Kind, e.Reason, e.At)
+	}
+	if e := got[1]; (e.Kind != tracing.KindStart && e.Kind != tracing.KindBackfill) || e.At != 100 || e.Aux != 50 {
+		t.Errorf("second drain event = %s/%s at %d (aux %d), want a start at 100 with wait 50", e.Kind, e.Reason, e.At, e.Aux)
+	}
+	if e := got[2]; e.Kind != tracing.KindRestore || e.Reason != tracing.ReasonMaintenance || e.At != 300 {
+		t.Errorf("third drain event = %s/%s at %d, want restore/maintenance at 300", e.Kind, e.Reason, e.At)
 	}
 }

@@ -7,10 +7,13 @@ import (
 	"time"
 )
 
-// TimingRow is one experiment's wall-clock cost: how long it took, how
-// many work cells (replication tasks on the worker pool) it fanned out,
-// and how it ended ("ok", "failed", "unfinished", "error"; empty for
-// synthetic rows like "(shared)").
+// TimingRow is one experiment's elapsed time, not its cost: Wall runs
+// from the experiment's start to its finish, so it includes time blocked
+// in memo waits and CPU shared with the pool helpers a lent slot let
+// start. A row also counts the work cells (replication tasks on the
+// worker pool) the experiment fanned out and says how it ended ("ok",
+// "failed", "unfinished", "error"; empty for synthetic rows like
+// "(shared)").
 type TimingRow struct {
 	Name   string
 	Wall   time.Duration
@@ -40,10 +43,11 @@ func (t *Timings) Rows() []TimingRow {
 	return append([]TimingRow(nil), t.rows...)
 }
 
-// WriteTable renders an aligned timing table plus a total line. Wall times
-// of concurrently executed experiments overlap, so the total wall column
-// is CPU-ish (sum of per-experiment walls), not elapsed time; the harness
-// prints elapsed separately.
+// WriteTable renders an aligned timing table plus a total line. Each
+// row's wall is elapsed time, and the walls of concurrently executed
+// experiments overlap, so the total is a sum of overlapping intervals:
+// neither the run's elapsed time nor its CPU time. The harness prints
+// elapsed separately.
 func (t *Timings) WriteTable(w io.Writer) error {
 	rows := t.Rows()
 	if len(rows) == 0 {

@@ -22,8 +22,8 @@
 //     the single goroutine that owns the Active handle. Recorder is
 //     fully synchronized.
 //
-// Spans export through internal/tracing's JSONL/Perfetto writers, in one
-// file with the decision events, and cmd/tracescope reports on both.
+// Spans export through internal/tracing's JSONL writer, in one file with
+// the decision events, and cmd/tracescope reports on both.
 package span
 
 import (

@@ -1,8 +1,8 @@
 // Package stats computes every metric the paper reports from simulated job
 // records: windowed utilizations, wait-time summaries (median/mean, all
 // jobs and the 5 % largest by CPU-seconds), expansion factors, makespan
-// summaries over replications, CDFs, log10 wait histograms, and hourly
-// utilization series.
+// summaries and quantiles over replications, log10 wait histograms, and
+// hourly utilization series.
 package stats
 
 import (
@@ -265,28 +265,6 @@ func ImpactOf(natives, inter []*job.Job, cpus int, horizon sim.Time) Impact {
 	return imp
 }
 
-// NativeOnly filters a record set to native jobs.
-func NativeOnly(jobs []*job.Job) []*job.Job {
-	var out []*job.Job
-	for _, j := range jobs {
-		if j.Class == job.Native {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// InterstitialOnly filters a record set to interstitial jobs.
-func InterstitialOnly(jobs []*job.Job) []*job.Job {
-	var out []*job.Job
-	for _, j := range jobs {
-		if j.Class == job.Interstitial {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // Log10Histogram bins positive values by order of magnitude: bin k counts
 // values in [10^k, 10^(k+1)). Values < 1 (including zeros) land in bin 0,
 // matching the paper's Figures 5-6 where the (0,1] decade holds the
@@ -310,21 +288,6 @@ func Log10Histogram(xs []float64, nbins int) []float64 {
 		out[i] /= float64(len(xs))
 	}
 	return out
-}
-
-// CDF returns the empirical CDF of xs evaluated at the sorted sample
-// points: (sorted values, cumulative probabilities).
-func CDF(xs []float64) (values, probs []float64) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	values = append([]float64(nil), xs...)
-	sort.Float64s(values)
-	probs = make([]float64, len(values))
-	for i := range values {
-		probs[i] = float64(i+1) / float64(len(values))
-	}
-	return values, probs
 }
 
 // FormatSeconds renders seconds the way the paper's tables do: "0.2k",

@@ -157,20 +157,6 @@ func TestLargestByCPUSeconds(t *testing.T) {
 	}
 }
 
-func TestClassFilters(t *testing.T) {
-	jobs := []*job.Job{
-		fin(1, 1, 0, 10, job.Native),
-		fin(2, 1, 0, 10, job.Interstitial),
-		fin(3, 1, 0, 10, job.Native),
-	}
-	if n := NativeOnly(jobs); len(n) != 2 {
-		t.Fatalf("native = %d", len(n))
-	}
-	if i := InterstitialOnly(jobs); len(i) != 1 {
-		t.Fatalf("interstitial = %d", len(i))
-	}
-}
-
 func TestLog10Histogram(t *testing.T) {
 	xs := []float64{0, 0.5, 5, 50, 500, 5000, 50000}
 	h := Log10Histogram(xs, 6)
@@ -186,19 +172,6 @@ func TestLog10Histogram(t *testing.T) {
 	h = Log10Histogram([]float64{1e12}, 3)
 	if h[2] != 1 {
 		t.Fatalf("overflow not clamped: %v", h)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	v, p := CDF([]float64{3, 1, 2})
-	if v[0] != 1 || v[2] != 3 {
-		t.Fatalf("values = %v", v)
-	}
-	if p[0] != 1.0/3 || p[2] != 1 {
-		t.Fatalf("probs = %v", p)
-	}
-	if v, p := CDF(nil); v != nil || p != nil {
-		t.Fatal("empty CDF not nil")
 	}
 }
 

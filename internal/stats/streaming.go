@@ -2,10 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"sort"
-
-	"interstitial/internal/rng"
 )
 
 // This file holds the one-pass counterparts of the exact batch
@@ -18,11 +15,6 @@ import (
 //   - P² quantiles: O(1) memory, no distribution assumptions; on the
 //     unimodal lognormal-ish samples this repo produces, within a few
 //     percent of the exact quantile at paper scale (1e5 samples).
-//   - Reservoir CDF/quantiles: uniform k-sample, exact in distribution;
-//     quantile error is binomial, |F(est)-q| ~ sqrt(q(1-q)/k) (~0.016
-//     at k=1024, q=0.5).
-//   - FixedHist quantiles: exact to within one bin width inside the
-//     range; out-of-range mass clamps into the edge bins.
 
 // Welford accumulates count/mean/variance/min/max of a stream in O(1)
 // memory using Welford's recurrence. The zero value is ready to use.
@@ -184,119 +176,6 @@ func (p *P2) Value() float64 {
 		return quantileSorted(s, p.q)
 	}
 	return p.heights[2]
-}
-
-// Reservoir keeps a uniform k-sample of a stream (Waterman's Algorithm
-// R), from which CDFs and quantiles of arbitrarily long runs come out
-// statistically faithful at fixed memory. The replacement draws come
-// from a dedicated seeded generator, so accumulation is deterministic.
-type Reservoir struct {
-	k    int
-	n    int64
-	vals []float64
-	r    *rand.Rand
-}
-
-// NewReservoir returns a reservoir of capacity k seeded for determinism.
-func NewReservoir(k int, seed int64) *Reservoir {
-	if k <= 0 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	return &Reservoir{k: k, r: rng.New(seed)}
-}
-
-// Add folds one observation in.
-func (s *Reservoir) Add(x float64) {
-	s.n++
-	if len(s.vals) < s.k {
-		s.vals = append(s.vals, x)
-		return
-	}
-	if i := s.r.Int63n(s.n); i < int64(s.k) {
-		s.vals[i] = x
-	}
-}
-
-// N reports how many observations the reservoir has seen (not kept).
-func (s *Reservoir) N() int64 { return s.n }
-
-// Quantile estimates the q-quantile from the kept sample.
-func (s *Reservoir) Quantile(q float64) float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.vals...)
-	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// CDF returns the empirical CDF of the kept sample, in the same shape
-// as the batch CDF helper.
-func (s *Reservoir) CDF() (values, probs []float64) {
-	return CDF(s.vals)
-}
-
-// FixedHist counts a stream into uniform bins over [lo, hi] and answers
-// quantile queries by linear interpolation within a bin. Out-of-range
-// observations clamp into the edge bins. Where the range is known a
-// priori (utilizations in [0,1], log-wait decades), this gives bounded-
-// error quantiles at a few KB.
-type FixedHist struct {
-	lo, hi float64
-	counts []int64
-	n      int64
-}
-
-// NewFixedHist returns a histogram of the given bin count over [lo, hi].
-func NewFixedHist(lo, hi float64, bins int) *FixedHist {
-	if bins <= 0 || hi <= lo {
-		panic("stats: bad FixedHist shape")
-	}
-	return &FixedHist{lo: lo, hi: hi, counts: make([]int64, bins)}
-}
-
-// Add folds one observation in.
-func (h *FixedHist) Add(x float64) {
-	b := int(float64(len(h.counts)) * (x - h.lo) / (h.hi - h.lo))
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.counts) {
-		b = len(h.counts) - 1
-	}
-	h.counts[b]++
-	h.n++
-}
-
-// N reports the observation count.
-func (h *FixedHist) N() int64 { return h.n }
-
-// Quantile estimates the q-quantile: the bin holding rank q*N, linearly
-// interpolated by the rank's position inside the bin.
-func (h *FixedHist) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(h.n)
-	width := (h.hi - h.lo) / float64(len(h.counts))
-	var cum float64
-	for b, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if cum+float64(c) >= target {
-			frac := (target - cum) / float64(c)
-			return h.lo + width*(float64(b)+frac)
-		}
-		cum += float64(c)
-	}
-	return h.hi
 }
 
 // StreamSummary is the one-pass counterpart of Summarize: exact

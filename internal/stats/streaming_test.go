@@ -81,56 +81,6 @@ func TestP2SmallSamplesAreExact(t *testing.T) {
 	}
 }
 
-// TestReservoirQuantiles bounds the reservoir error in probability
-// space: the exact CDF evaluated at the estimated quantile must be
-// within a few percent of q (binomial error at k=1024).
-func TestReservoirQuantiles(t *testing.T) {
-	xs := paperScaleSample(200_000, 3)
-	res := NewReservoir(1024, 7)
-	for _, x := range xs {
-		res.Add(x)
-	}
-	if res.N() != int64(len(xs)) {
-		t.Fatalf("N = %d", res.N())
-	}
-	for _, q := range []float64{0.1, 0.5, 0.9} {
-		est := res.Quantile(q)
-		rank := 0
-		for _, x := range xs {
-			if x <= est {
-				rank++
-			}
-		}
-		if e := math.Abs(float64(rank)/float64(len(xs)) - q); e > 0.05 {
-			t.Fatalf("reservoir q=%g: |F(est)-q| = %.3f", q, e)
-		}
-	}
-	vals, probs := res.CDF()
-	if len(vals) != 1024 || len(probs) != 1024 {
-		t.Fatalf("CDF sample size %d", len(vals))
-	}
-}
-
-// TestFixedHistQuantiles: with a known range the quantile error is
-// bounded by one bin width.
-func TestFixedHistQuantiles(t *testing.T) {
-	h := NewFixedHist(0, 1, 100)
-	r := rng.New(4)
-	xs := make([]float64, 50_000)
-	for i := range xs {
-		xs[i] = r.Float64()
-		h.Add(xs[i])
-	}
-	h.Add(-0.5) // clamps into bin 0
-	h.Add(1.5)  // clamps into the top bin
-	for _, q := range []float64{0.25, 0.5, 0.75} {
-		exact := Quantile(xs, q)
-		if e := math.Abs(h.Quantile(q) - exact); e > 0.01+1e-9 {
-			t.Fatalf("hist q=%g err %.4f", q, e)
-		}
-	}
-}
-
 // TestStreamSummaryMatchesSummarize: exact fields exactly, median
 // within the P² bound.
 func TestStreamSummaryMatchesSummarize(t *testing.T) {
@@ -226,6 +176,4 @@ func TestEstimatorPanics(t *testing.T) {
 		f()
 	}
 	expectPanic("P2(0)", func() { NewP2(0) })
-	expectPanic("Reservoir(0)", func() { NewReservoir(0, 1) })
-	expectPanic("FixedHist bad range", func() { NewFixedHist(1, 1, 10) })
 }

@@ -2,7 +2,6 @@ package tracing
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -115,55 +114,6 @@ func TestSpansValidation(t *testing.T) {
 	}
 }
 
-// TestSpansChrome: in one Chrome export, the runs keep pids 0..n-1 and
-// each span trace gets the next pid, in first-seen order, holding its
-// spans with their IDs and attributes in args.
-func TestSpansChrome(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, testCollector(), sampleSpans(t)); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Ph   string         `json:"ph"`
-			Pid  int            `json:"pid"`
-			Cat  string         `json:"cat"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome export is not valid JSON: %v", err)
-	}
-	procs := map[int]string{}
-	spanPids := map[int]int{}
-	outcome := false
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "M" && e.Name == "process_name" {
-			procs[e.Pid] = e.Args["name"].(string)
-		}
-		if e.Cat == "span" {
-			spanPids[e.Pid]++
-			if e.Name == "cache" && e.Args["outcome"] == "hit" && e.Args["parent"] != nil {
-				outcome = true
-			}
-		}
-	}
-	runs := len(testCollector().Runs())
-	if len(procs) != runs+2 {
-		t.Fatalf("%d processes, want %d runs + 2 traces: %v", len(procs), runs, procs)
-	}
-	if spanPids[runs] != 4 || spanPids[runs+1] != 2 {
-		t.Fatalf("span pids = %v, want 4 spans at pid %d and 2 at pid %d", spanPids, runs, runs+1)
-	}
-	if !strings.HasPrefix(procs[runs], "trace ") || procs[0] != "demo/machine [Demo]" {
-		t.Fatalf("process names = %v", procs)
-	}
-	if !outcome {
-		t.Fatal("span args lack the parent link or the outcome attribute")
-	}
-}
-
 // TestSummarizeSpans: the span sections aggregate latency per name, the
 // slowest shard per federation epoch, and outcome attribution.
 func TestSummarizeSpans(t *testing.T) {
@@ -227,39 +177,5 @@ func TestMixedReport(t *testing.T) {
 	}
 	if !strings.HasPrefix(report(nil, nil), "trace: 0 runs") {
 		t.Fatal("an empty trace does not get the decision report")
-	}
-}
-
-// TestExportSpansFormats: Export dispatches on the format, and the audit
-// table, which has no form for spans, holds only the run rows.
-func TestExportSpansFormats(t *testing.T) {
-	for _, f := range []Format{FormatJSONL, FormatChrome} {
-		var direct, exported bytes.Buffer
-		write := WriteJSONL
-		if f == FormatChrome {
-			write = WriteChrome
-		}
-		if err := write(&direct, testCollector(), sampleSpans(t)); err != nil {
-			t.Fatal(err)
-		}
-		if err := Export(&exported, testCollector(), sampleSpans(t), f); err != nil {
-			t.Fatal(err)
-		}
-		if direct.String() != exported.String() {
-			t.Errorf("Export(%s) differs from its writer", f)
-		}
-	}
-	var audit, withSpans bytes.Buffer
-	if err := WriteAudit(&audit, testCollector()); err != nil {
-		t.Fatal(err)
-	}
-	if err := Export(&withSpans, testCollector(), sampleSpans(t), FormatAudit); err != nil {
-		t.Fatal(err)
-	}
-	if audit.String() != withSpans.String() {
-		t.Fatalf("audit export with spans:\n%s\nwant the run rows only:\n%s", withSpans.String(), audit.String())
-	}
-	if err := Export(&audit, nil, nil, Format("xml")); err == nil {
-		t.Fatal("Export accepted an unknown format")
 	}
 }

@@ -54,8 +54,8 @@ const (
 	// (fresh, or a continuation of preempted work). Aux is always 0.
 	KindSpawn
 	// KindPlace: a job was placed directly on the machine, bypassing the
-	// native queue (interstitial fill, omniscient pack batch, or a
-	// maintenance-class job occupying CPUs).
+	// native queue (interstitial fill or omniscient pack batch). A
+	// maintenance drain is never placed: it starts through the queue.
 	KindPlace
 	// KindKill: a running interstitial job was killed (youngest-first
 	// preemption for the native head).
@@ -112,16 +112,6 @@ func ParseKind(s string) (Kind, bool) {
 	return 0, false
 }
 
-// Kinds returns every valid kind in declaration order, for analyzers that
-// render per-kind tables.
-func Kinds() []Kind {
-	out := make([]Kind, 0, kindCount-1)
-	for k := Kind(1); k < kindCount; k++ {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Reason refines a Kind with the specific rule that fired.
 type Reason uint8
 
@@ -147,7 +137,8 @@ const (
 	ReasonInterstitialFill
 	ReasonOmniscientPack
 	// ReasonMaintenance: a maintenance-class occupation (a scheduled
-	// drain) took the CPUs or, on a restore, gave them back.
+	// drain) gave its CPUs back. It labels the drain's restore; the drain
+	// itself starts through the queue as a start or backfill.
 	ReasonMaintenance
 	// ReasonHeadBlocked: killed youngest-first because it stood between
 	// the native head job and its CPUs.
@@ -220,12 +211,11 @@ type Event struct {
 	// CPUs is the CPU count the decision moved (job width, drain size).
 	CPUs int
 	// Busy is the machine's busy CPU count *after* the decision, or
-	// NoBusy when the event has no machine context. It is the
-	// utilization counter track of the timeline export.
+	// NoBusy when the event has no machine context.
 	Busy int
 	// Aux is kind-specific: submit → user estimate; start/backfill →
-	// wait seconds; spawn → 0; finish/place → runtime; kill → victim age
-	// (seconds since start); run-end → events executed.
+	// wait seconds; spawn → 0; finish/restore/place → runtime; kill →
+	// victim age (seconds since start); run-end → events executed.
 	Aux int64
 }
 

@@ -45,8 +45,8 @@ import (
 )
 
 // Tracer records one simulation run's scheduler decisions; TraceCollector
-// owns the tracers of a traced workload and exports them (JSONL, Chrome
-// trace-event, audit table). See internal/tracing and DESIGN.md §10.
+// owns the tracers of a traced workload, which tracing.WriteJSONL exports
+// as one JSONL stream. See internal/tracing and DESIGN.md §10.
 type (
 	Tracer         = tracing.Tracer
 	TraceCollector = tracing.Collector
