@@ -8,13 +8,10 @@
 //
 //	advisor -machine "Blue Mountain" -petacycles 10 [-seed 1] [-scale 0.25]
 //	        [-cap 10] [-timeout D] [-json] [-manifest file]
-//	        [-server URL [-tenant name] [-retries N]]
 //
 // The CLI is a thin client of internal/advisor — the same planning core
-// cmd/advisord serves — so a local run and `-server` against a daemon
-// print byte-identical plans for the same canonical request (pinned by
-// test). In server mode, 429/503 answers are retried with deterministic
-// jittered backoff (internal/retry), honoring the server's Retry-After.
+// cmd/advisord serves — so it prints the plan text advisord serves for
+// the same canonical request, byte for byte (pinned by test).
 //
 // Invalid flags (unknown machine, non-positive petacycles or scale, ...)
 // are rejected up front with exit status 2, matching cmd/experiments.
@@ -26,13 +23,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"net/url"
 	"os"
-	"time"
 
 	"interstitial/internal/advisor"
-	"interstitial/internal/retry"
 	"interstitial/internal/span"
 )
 
@@ -52,9 +45,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0, "abort planning after this long (0 = no limit)")
 	jsonOut := fs.Bool("json", false, "print the full plan as JSON instead of the table")
 	manifestPath := fs.String("manifest", "", "write the plan's provenance manifest (JSON) to this file")
-	server := fs.String("server", "", "ask a running advisord at this base URL instead of planning locally")
-	tenant := fs.String("tenant", "", "tenant identity sent to the server (X-Advisor-Tenant)")
-	retries := fs.Int("retries", 4, "server mode: attempts before giving up on 429/503")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -66,9 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *timeout < 0 {
 		return usageError("-timeout %v is negative", *timeout)
-	}
-	if *retries < 1 {
-		return usageError("-retries %d is not positive", *retries)
 	}
 	// Zero means "default" to Request.Canonicalize; on the command line an
 	// explicit 0 is a mistake, so reject it before canonicalization.
@@ -94,23 +81,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 
-	var plan *advisor.Plan
-	var err error
-	var manifest *span.Manifest
-	if *server != "" {
-		plan, manifest, err = fetchPlan(ctx, *server, req, *tenant, *retries, *seed)
-	} else {
-		core := advisor.NewCore(advisor.CoreConfig{Ctx: ctx})
-		if plan, err = core.Plan(req); err == nil {
-			manifest = advisor.PlanManifest(plan)
-		}
-	}
+	plan, err := advisor.NewCore(advisor.CoreConfig{Ctx: ctx}).Plan(req)
 	if err != nil {
 		fmt.Fprintf(stderr, "advisor: %v\n", err)
 		return 1
 	}
-	if *manifestPath != "" && manifest != nil {
-		if err := writeManifest(*manifestPath, manifest); err != nil {
+	if *manifestPath != "" {
+		if err := writeManifest(*manifestPath, advisor.PlanManifest(plan)); err != nil {
 			fmt.Fprintf(stderr, "advisor: %v\n", err)
 			return 1
 		}
@@ -139,87 +116,4 @@ func writeManifest(path string, m *span.Manifest) error {
 		return err
 	}
 	return f.Close()
-}
-
-// fetchPlan asks a running advisord, retrying shed/overload answers with
-// deterministic jittered backoff. The jitter stream derives from the plan
-// seed, so a test can replay the exact schedule. The returned manifest is
-// the server's X-Run-Manifest provenance header (nil if the server
-// predates it).
-func fetchPlan(ctx context.Context, base string, req advisor.Request, tenant string, attempts int, seed int64) (*advisor.Plan, *span.Manifest, error) {
-	u, err := url.Parse(base)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bad -server URL: %v", err)
-	}
-	u = u.JoinPath("plan")
-	q := url.Values{}
-	q.Set("machine", req.Machine)
-	q.Set("petacycles", fmt.Sprintf("%g", req.PetaCycles))
-	q.Set("cap", fmt.Sprintf("%d", req.Cap))
-	q.Set("seed", fmt.Sprintf("%d", req.Seed))
-	q.Set("scale", fmt.Sprintf("%g", req.Scale))
-	u.RawQuery = q.Encode()
-
-	policy := retry.NewPolicy(200*time.Millisecond, 5*time.Second, 2, seed, 0)
-	var plan *advisor.Plan
-	var manifest *span.Manifest
-	err = retry.Do(ctx, attempts, policy, nil, func(ctx context.Context, attempt int) error {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-		if err != nil {
-			return err
-		}
-		if tenant != "" {
-			hreq.Header.Set("X-Advisor-Tenant", tenant)
-		}
-		resp, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			return retry.Transient(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-		if err != nil {
-			return retry.Transient(err)
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var p advisor.Plan
-			if err := json.Unmarshal(body, &p); err != nil {
-				return fmt.Errorf("bad server response: %v", err)
-			}
-			plan = &p
-			if hdr := resp.Header.Get("X-Run-Manifest"); hdr != "" {
-				var m span.Manifest
-				if err := json.Unmarshal([]byte(hdr), &m); err == nil {
-					manifest = &m
-				}
-			}
-			return nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			err := fmt.Errorf("server %s: %s", resp.Status, errorOf(body))
-			if ra := resp.Header.Get("Retry-After"); ra != "" {
-				if secs, perr := time.ParseDuration(ra + "s"); perr == nil {
-					return retry.TransientAfter(err, secs)
-				}
-			}
-			return retry.Transient(err)
-		default:
-			return fmt.Errorf("server %s: %s", resp.Status, errorOf(body))
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, manifest, nil
-}
-
-// errorOf extracts the error message from a JSON error body, falling back
-// to the raw bytes.
-func errorOf(body []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(body, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return string(body)
 }

@@ -5,12 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"interstitial/internal/advisor"
@@ -34,7 +31,9 @@ func TestInvalidFlagsExit2(t *testing.T) {
 		{"-cap", "99"},
 		{"-seed", "-1"},
 		{"-timeout", "-1s"},
-		{"-retries", "0"},
+		{"-server", "http://localhost:7676"},
+		{"-tenant", "alice"},
+		{"-retries", "4"},
 		{"-not-a-flag"},
 	}
 	for _, args := range cases {
@@ -114,89 +113,5 @@ func TestGoldenPlans(t *testing.T) {
 		if g != w {
 			t.Fatalf("plans differ from testdata/golden/advisor.txt at line %d:\n got %q\nwant %q", i+1, g, w)
 		}
-	}
-}
-
-// TestServerModeMatchesLocalBytes is the tentpole parity pin: the thin
-// client against a real advisord service prints the same bytes as a
-// local run.
-func TestServerModeMatchesLocalBytes(t *testing.T) {
-	srv := advisor.NewServer(advisor.Config{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	args := []string{"-machine", "Blue Mountain", "-petacycles", "3", "-scale", "0.05"}
-	code, local, stderr := runCLI(t, args...)
-	if code != 0 {
-		t.Fatalf("local run = %d, stderr: %s", code, stderr)
-	}
-	code, remote, stderr := runCLI(t, append(args, "-server", ts.URL, "-tenant", "test")...)
-	if code != 0 {
-		t.Fatalf("server run = %d, stderr: %s", code, stderr)
-	}
-	if local != remote {
-		t.Fatalf("server-mode bytes differ from local:\n%q\nvs\n%q", remote, local)
-	}
-}
-
-// TestServerModeRetriesShed exercises the backoff path: the stub sheds
-// the first two attempts with 429 + Retry-After, then serves the plan.
-func TestServerModeRetriesShed(t *testing.T) {
-	req := advisor.Request{Machine: "Ross", PetaCycles: 2, Scale: 0.05}
-	req.Canonicalize()
-	plan, err := advisor.NewCore(advisor.CoreConfig{}).Plan(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusTooManyRequests)
-			_, _ = w.Write([]byte(`{"error":"work queue full"}`))
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(plan)
-	}))
-	defer ts.Close()
-
-	code, stdout, stderr := runCLI(t,
-		"-machine", "Ross", "-petacycles", "2", "-scale", "0.05",
-		"-server", ts.URL, "-retries", "4")
-	if code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, stderr)
-	}
-	if stdout != plan.Text {
-		t.Fatalf("retried fetch bytes differ:\n%q\nvs\n%q", stdout, plan.Text)
-	}
-	if n := hits.Load(); n != 3 {
-		t.Fatalf("server saw %d requests, want 3 (2 sheds + success)", n)
-	}
-}
-
-// TestServerModeGivesUpAfterRetries pins the failure mode: persistent
-// shedding exhausts -retries and exits 1 with the server's error.
-func TestServerModeGivesUpAfterRetries(t *testing.T) {
-	var hits atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		hits.Add(1)
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusTooManyRequests)
-		_, _ = w.Write([]byte(`{"error":"work queue full"}`))
-	}))
-	defer ts.Close()
-
-	code, _, stderr := runCLI(t,
-		"-machine", "Ross", "-petacycles", "2", "-server", ts.URL, "-retries", "2")
-	if code != 1 {
-		t.Fatalf("run = %d, want 1", code)
-	}
-	if !strings.Contains(stderr, "queue full") {
-		t.Fatalf("stderr lacks server error: %q", stderr)
-	}
-	if n := hits.Load(); n != 2 {
-		t.Fatalf("server saw %d requests, want exactly -retries (2)", n)
 	}
 }

@@ -1,12 +1,11 @@
 // Command advisord serves the capacity-planning advisor as a hardened
-// multi-tenant HTTP/JSON daemon: the same planning core as cmd/advisor,
-// behind admission control, request coalescing, a result cache, graceful
-// degradation, and a clean SIGTERM drain (see DESIGN.md §14).
+// HTTP/JSON daemon: the same planning core as cmd/advisor, behind a result
+// cache, request coalescing, a bounded work queue, graceful degradation,
+// and a clean SIGTERM drain (see DESIGN.md §14).
 //
 // Usage:
 //
-//	advisord [-addr host:port] [-queue N] [-rate R -burst B] [-cache N]
-//	         [-budget D] [-degraded-scale F] [-drain D]
+//	advisord [-addr host:port] [-queue N] [-budget D] [-drain D]
 //	         [-log-format json|text] [-log-level spec]
 //	         [-spans file] [-manifest file]
 //
@@ -17,12 +16,12 @@
 //	GET  /healthz       liveness (200 while the process runs)
 //	GET  /readyz        readiness (503 once draining)
 //	GET  /metrics       Prometheus text: advisor_{admitted,shed,coalesced,
-//	                    degraded,...}_total plus per-tenant breakdowns
+//	                    degraded,...}_total and per-route latency
 //
-// Over-capacity requests are shed with 429 + Retry-After; requests whose
-// full sweep exceeds -budget get a cheap fallback plan marked
-// "degraded": true. SIGTERM/SIGINT stops admission (readyz flips to 503),
-// completes every in-flight plan within -drain, then exits 0.
+// Requests past the -queue bound are shed with 429 + Retry-After;
+// requests whose full sweep exceeds -budget get a cheap fallback plan
+// marked "degraded": true. SIGTERM/SIGINT stops admission (readyz flips to
+// 503), completes every in-flight plan within -drain, then exits 0.
 //
 // Observability: every request gets a root span whose ID rides the
 // X-Request-Id header and the structured request log (stderr, one JSON
@@ -63,11 +62,7 @@ func usageError(format string, args ...any) {
 func main() {
 	addr := flag.String("addr", "localhost:7676", "listen address")
 	queue := flag.Int("queue", 4, "bounded work queue: concurrent plan computations admitted")
-	rate := flag.Float64("rate", 0, "per-tenant sustained requests/sec (0 = no per-tenant limit)")
-	burst := flag.Int("burst", 0, "per-tenant token-bucket depth (default 2*rate)")
-	cache := flag.Int("cache", 256, "result-cache entries (LRU)")
 	budget := flag.Duration("budget", 2*time.Second, "per-request full-sweep budget before degrading")
-	degradedScale := flag.Float64("degraded-scale", 0.02, "fallback planning-log scale for over-budget requests")
 	drain := flag.Duration("drain", 30*time.Second, "max wait for in-flight plans on SIGTERM")
 	logFormat := flag.String("log-format", "json", "structured log format: json or text")
 	logLevel := flag.String("log-level", "info", `log level spec: "info" or per-component "default=info,http=debug"`)
@@ -78,16 +73,8 @@ func main() {
 	switch {
 	case *queue < 1:
 		usageError("-queue %d is not positive", *queue)
-	case *rate < 0:
-		usageError("-rate %g is negative", *rate)
-	case *burst < 0:
-		usageError("-burst %d is negative", *burst)
-	case *cache < 1:
-		usageError("-cache %d is not positive", *cache)
 	case *budget <= 0:
 		usageError("-budget %v is not positive", *budget)
-	case *degradedScale <= 0 || *degradedScale > 1:
-		usageError("-degraded-scale %g outside (0, 1]", *degradedScale)
 	case *drain <= 0:
 		usageError("-drain %v is not positive", *drain)
 	case logErr != nil:
@@ -102,14 +89,10 @@ func main() {
 		spans = span.NewRecorder()
 	}
 	srv := advisor.NewServer(advisor.Config{
-		QueueBound:    *queue,
-		TenantRate:    *rate,
-		TenantBurst:   *burst,
-		CacheEntries:  *cache,
-		Budget:        *budget,
-		DegradedScale: *degradedScale,
-		Log:           logger,
-		Spans:         spans,
+		QueueBound: *queue,
+		Budget:     *budget,
+		Log:        logger,
+		Spans:      spans,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -29,7 +29,7 @@ func TestWriteArtifacts(t *testing.T) {
 
 	rec := span.NewRecorder()
 	rec.Root("http.plan", 7, 0, 100).End(250)
-	srv := advisor.NewServer(advisor.Config{Spans: rec, SpanSeed: 7})
+	srv := advisor.NewServer(advisor.Config{Spans: rec})
 
 	var warns capturedWarns
 	writeArtifacts(&warns, srv, rec, spansPath, manifestPath,

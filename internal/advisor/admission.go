@@ -1,11 +1,5 @@
 package advisor
 
-import (
-	"math"
-	"sync"
-	"time"
-)
-
 // slotQueue is the bounded work queue: at most bound plan computations
 // admitted (queued or running) at once. Acquisition is non-blocking — an
 // over-capacity request is shed with 429 + Retry-After instead of parking
@@ -36,76 +30,3 @@ func (q *slotQueue) release() { <-q.slots }
 
 // depth is the number of slots currently held.
 func (q *slotQueue) depth() int { return len(q.slots) }
-
-// tokenBucket is one tenant's refill state.
-type tokenBucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// bucketSet rate-limits per tenant with lazily-refilled token buckets.
-// The clock is injected so tests drive admission decisions without wall
-// time. The tenant map is bounded: past maxTenants distinct names, new
-// tenants share one overflow bucket — a tenant-name flood can grow memory
-// only to the bound, at the price of the flood throttling itself
-// collectively (which is the point).
-type bucketSet struct {
-	rate  float64 // tokens/sec; <= 0 disables limiting
-	burst float64
-	now   func() time.Time
-
-	mu       sync.Mutex
-	buckets  map[string]*tokenBucket
-	max      int
-	overflow tokenBucket
-}
-
-func newBucketSet(rate float64, burst int, maxTenants int, now func() time.Time) *bucketSet {
-	if burst < 1 {
-		burst = 1
-	}
-	if maxTenants < 1 {
-		maxTenants = 1024
-	}
-	return &bucketSet{
-		rate: rate, burst: float64(burst), now: now,
-		buckets: make(map[string]*tokenBucket), max: maxTenants,
-	}
-}
-
-// take spends one token from tenant's bucket. It returns 0 when admitted,
-// otherwise the wait until a token will be available (the Retry-After
-// hint). A non-positive rate admits everything.
-func (s *bucketSet) take(tenant string) time.Duration {
-	if s.rate <= 0 {
-		return 0
-	}
-	now := s.now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.buckets[tenant]
-	if !ok {
-		if len(s.buckets) >= s.max {
-			b = &s.overflow
-		} else {
-			b = &tokenBucket{tokens: s.burst, last: now}
-			s.buckets[tenant] = b
-		}
-	}
-	if b.last.IsZero() {
-		b.tokens, b.last = s.burst, now
-	}
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(s.burst, b.tokens+dt*s.rate)
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return 0
-	}
-	wait := time.Duration((1 - b.tokens) / s.rate * float64(time.Second))
-	if wait < time.Millisecond {
-		wait = time.Millisecond
-	}
-	return wait
-}

@@ -1,10 +1,9 @@
 // Package advisor is the capacity-planning core behind cmd/advisor and
 // cmd/advisord: it turns the paper's Section 5 guidelines ("what job
 // shape should I submit on this machine?") into a ranked shape
-// recommendation, and wraps that core in a hardened multi-tenant HTTP
-// service with admission control, request coalescing, result caching,
-// graceful degradation, and a clean drain path (see server.go and
-// DESIGN.md §14).
+// recommendation, and wraps that core in a hardened HTTP service with a
+// bounded work queue, request coalescing, result caching, graceful
+// degradation, and a clean drain path (see server.go and DESIGN.md §14).
 //
 // The planning pipeline per canonical request (machine, petacycles, cap,
 // seed, scale):
@@ -103,15 +102,19 @@ var (
 // concurrent requests for one baseline share one simulation and later
 // ones read it without any. Core methods are safe for concurrent use.
 type Core struct {
-	ctx           context.Context
-	degradedScale float64
-	baselines     *flight[baselineKey, *baseline]
-	computes      atomic.Int32 // baseline computes (tests)
+	ctx       context.Context
+	baselines *flight[baselineKey, *baseline]
+	computes  atomic.Int32 // baseline computes (tests)
 }
 
-// maxBaselines bounds the memoized baselines: 8 (seed, scale) pairs of
-// the three machines.
-const maxBaselines = 24
+const (
+	// maxBaselines bounds the memoized baselines: 8 (seed, scale) pairs
+	// of the three machines.
+	maxBaselines = 24
+	// degradedScale is the fallback planning-log scale for over-budget
+	// requests: a sub-100ms plan.
+	degradedScale = 0.02
+)
 
 type baselineKey struct {
 	machine string
@@ -136,9 +139,6 @@ type CoreConfig struct {
 	// baseline. Per-request deadlines do NOT belong here; they reach only
 	// PlanDegraded, whose baseline no other request shares.
 	Ctx context.Context
-	// DegradedScale is the fallback planning-log scale for over-budget
-	// requests (default 0.02: a sub-100ms plan).
-	DegradedScale float64
 }
 
 // NewCore builds a planning core.
@@ -146,13 +146,9 @@ func NewCore(cfg CoreConfig) *Core {
 	if cfg.Ctx == nil {
 		cfg.Ctx = context.Background()
 	}
-	if cfg.DegradedScale <= 0 || cfg.DegradedScale > 1 {
-		cfg.DegradedScale = 0.02
-	}
 	return &Core{
-		ctx:           cfg.Ctx,
-		degradedScale: cfg.DegradedScale,
-		baselines:     newFlight[baselineKey, *baseline](maxBaselines),
+		ctx:       cfg.Ctx,
+		baselines: newFlight[baselineKey, *baseline](maxBaselines),
 	}
 }
 
@@ -199,7 +195,7 @@ func (c *Core) fill(k baselineKey, pending *call[*baseline], req Request) {
 // ~4096 kernel events of cancellation). Its baseline is neither kept nor
 // shared, so an expiring request fails only itself.
 func (c *Core) PlanDegraded(ctx context.Context, req Request) (*Plan, error) {
-	b, err := computeBaseline(ctx, req.Machine, req.Seed, c.degradedScale)
+	b, err := computeBaseline(ctx, req.Machine, req.Seed, degradedScale)
 	if err != nil {
 		return nil, err
 	}
@@ -305,9 +301,9 @@ func sweep(b *baseline, req Request, degraded bool) (*Plan, error) {
 }
 
 // renderText writes the plan in the CLI's exact output format. The
-// service embeds this render in its JSON response, so `advisor` run
-// locally and `advisor -server` against a daemon print identical bytes
-// for the same canonical request.
+// service embeds this render in its JSON response, so the text a daemon
+// serves and the bytes `advisor` prints are identical for the same
+// canonical request.
 func renderText(w io.Writer, p *Plan) error {
 	fmt.Fprintf(w, "Machine %s: %d CPUs @ %.3f GHz, native utilization %.3f\n",
 		p.Request.Machine, p.MachineCPUs, p.ClockGHz, p.NativeUtil)

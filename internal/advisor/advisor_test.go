@@ -185,7 +185,7 @@ func TestPlanDegradedMarkedAndUncached(t *testing.T) {
 		t.Fatalf("degraded plan kept %d baselines, want 0", n)
 	}
 	full := req
-	full.Scale = core.degradedScale
+	full.Scale = degradedScale
 	fp, err := core.Plan(full)
 	if err != nil {
 		t.Fatalf("Plan at the degraded scale: %v", err)

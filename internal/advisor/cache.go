@@ -58,6 +58,14 @@ func (f *flight[K, V]) get(key K) (V, bool) {
 	return el.Value.(*entry[K, V]).v, true
 }
 
+// pending returns the in-flight call for key, or nil when there is none;
+// unlike join it never creates one.
+func (f *flight[K, V]) pending(key K) *call[V] {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.inflight[key]
+}
+
 // join returns the in-flight call for key, creating one when absent. The
 // second result is true for the creator — the owner, which must settle
 // the call whether or not it computes anything.

@@ -1,31 +1,21 @@
 package advisor
 
-import (
-	"strings"
-	"sync"
-
-	"interstitial/internal/obs"
-)
-
-// maxTenantMetrics bounds how many distinct tenants get their own counter
-// set in the registry; the rest fold into the "other" tenant so a
-// tenant-name flood can't grow the registry without bound.
-const maxTenantMetrics = 64
+import "interstitial/internal/obs"
 
 // httpLatencyBounds buckets per-route request latency in seconds: from
 // cache-hit territory (sub-ms) through full-sweep plans (seconds).
 var httpLatencyBounds = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10}
 
 // metrics is the service's observability surface: fleet-wide counters
-// with stable names (the CI smoke greps advisor_shed_total), a per-route
-// latency histogram, plus a bounded per-tenant breakdown, all registered
-// in one obs.Registry served at /metrics.
+// with stable names (the CI smoke greps advisor_shed_total) and a
+// per-route latency histogram, all registered in one obs.Registry served
+// at /metrics.
 type metrics struct {
 	reg *obs.Registry
 
 	requests  *obs.Counter // every /plan request, before any gate
 	admitted  *obs.Counter // granted a work-queue slot (owns a computation)
-	shed      *obs.Counter // rejected 429: queue full or tenant over rate
+	shed      *obs.Counter // rejected 429: work queue full
 	coalesced *obs.Counter // joined an identical in-flight computation
 	cacheHits *obs.Counter // answered from the LRU
 	degraded  *obs.Counter // answered with the fallback plan past budget
@@ -35,25 +25,10 @@ type metrics struct {
 	// routeLatency holds one advisor_http_<route>_seconds histogram per
 	// served route, registered up front so /metrics names are stable.
 	routeLatency map[string]*obs.Histogram
-
-	mu      sync.Mutex
-	tenants map[string]*tenantMetrics
-	used    map[string]bool // sanitized names taken (collision guard)
-	other   *tenantMetrics  // shared set for overflow/colliding tenants
 }
 
-// tenantMetrics is one tenant's admission ledger.
-type tenantMetrics struct {
-	admitted  *obs.Counter
-	shed      *obs.Counter
-	coalesced *obs.Counter
-	degraded  *obs.Counter
-}
-
-func newMetrics(reg *obs.Registry) *metrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+func newMetrics() *metrics {
+	reg := obs.NewRegistry()
 	routes := map[string]*obs.Histogram{}
 	for _, route := range []string{"plan", "healthz", "readyz", "metrics"} {
 		routes[route] = reg.Histogram("advisor_http_"+route+"_seconds",
@@ -63,7 +38,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		reg:       reg,
 		requests:  reg.Counter("advisor_requests_total", "plan requests received"),
 		admitted:  reg.Counter("advisor_admitted_total", "requests granted a work-queue slot"),
-		shed:      reg.Counter("advisor_shed_total", "requests shed with 429 (queue full or tenant over rate)"),
+		shed:      reg.Counter("advisor_shed_total", "requests shed with 429 (work queue full)"),
 		coalesced: reg.Counter("advisor_coalesced_total", "requests coalesced onto an identical in-flight plan"),
 		cacheHits: reg.Counter("advisor_cache_hits_total", "requests answered from the result cache"),
 		degraded:  reg.Counter("advisor_degraded_total", "requests answered with the degraded fallback plan"),
@@ -71,58 +46,5 @@ func newMetrics(reg *obs.Registry) *metrics {
 		inflight:  reg.Gauge("advisor_inflight", "requests currently being served"),
 
 		routeLatency: routes,
-
-		tenants: make(map[string]*tenantMetrics),
-		used:    map[string]bool{"other": true}, // reserved for overflow
-	}
-}
-
-// sanitizeTenant maps a tenant name onto a metric-name-safe fragment.
-func sanitizeTenant(t string) string {
-	var sb strings.Builder
-	for _, r := range strings.ToLower(t) {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9', r == '_':
-			sb.WriteRune(r)
-		default:
-			sb.WriteByte('_')
-		}
-	}
-	if sb.Len() == 0 {
-		return "anon"
-	}
-	return sb.String()
-}
-
-// tenant returns (lazily registering) the counters for one tenant.
-// Distinct tenants past the bound — or whose sanitized names collide —
-// share the "other" set, which is never memoized per name, so neither the
-// registry nor the tenant map grows with a name flood.
-func (m *metrics) tenant(name string) *tenantMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if tm, ok := m.tenants[name]; ok {
-		return tm
-	}
-	san := sanitizeTenant(name)
-	if len(m.tenants) >= maxTenantMetrics || m.used[san] {
-		if m.other == nil {
-			m.other = m.registerTenant("other")
-		}
-		return m.other
-	}
-	m.used[san] = true
-	tm := m.registerTenant(san)
-	m.tenants[name] = tm
-	return tm
-}
-
-func (m *metrics) registerTenant(san string) *tenantMetrics {
-	p := "advisor_tenant_" + san + "_"
-	return &tenantMetrics{
-		admitted:  m.reg.Counter(p+"admitted_total", "slots granted to tenant "+san),
-		shed:      m.reg.Counter(p+"shed_total", "requests shed for tenant "+san),
-		coalesced: m.reg.Counter(p+"coalesced_total", "requests coalesced for tenant "+san),
-		degraded:  m.reg.Counter(p+"degraded_total", "degraded answers for tenant "+san),
 	}
 }

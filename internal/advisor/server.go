@@ -24,40 +24,30 @@ type Config struct {
 	// QueueBound caps concurrently admitted plan computations; requests
 	// past it are shed with 429 + Retry-After (default 4).
 	QueueBound int
-	// TenantRate is each tenant's sustained request rate in requests/sec;
-	// <= 0 disables per-tenant limiting (default 0 — rely on the queue).
-	TenantRate float64
-	// TenantBurst is the token-bucket depth (default 2×rate, min 1).
-	TenantBurst int
-	// MaxTenants bounds the token-bucket map (default 1024).
-	MaxTenants int
-	// CacheEntries bounds the plan LRU (default 256).
-	CacheEntries int
 	// Budget is the per-request full-sweep budget: past it the request is
 	// answered with a degraded fallback plan instead of waiting (default
 	// 2s). Clients may lower it per request with ?budget_ms=N.
 	Budget time.Duration
-	// DegradedScale is the fallback planning-log scale (default 0.02).
-	DegradedScale float64
-	// ShedRetryAfter is the Retry-After hint on queue-full sheds
-	// (default 1s).
-	ShedRetryAfter time.Duration
-	// Now is the admission clock (default time.Now; injected in tests).
-	Now func() time.Time
-	// Reg receives the service metrics (default: a fresh registry).
-	Reg *obs.Registry
 	// Log receives the service's structured records (see NewLogger).
 	// Nil discards them at the Enabled gate.
 	Log *slog.Logger
 	// Spans records one span tree per request: a root per route plus
-	// children for admission, cache lookup, coalesce join, and plan wait.
+	// children for cache lookup, coalesce join, admission, and plan wait.
 	// Nil disables recording; every handle on the disabled path is a nil
 	// no-op, so requests pay nothing.
 	Spans *span.Recorder
-	// SpanSeed seeds root span IDs, which double as request IDs
-	// (default 1).
-	SpanSeed int64
 }
+
+const (
+	// cacheEntries bounds the plan LRU.
+	cacheEntries = 256
+	// shedRetryAfter is the Retry-After hint on sheds, drains and aborted
+	// plans.
+	shedRetryAfter = time.Second
+	// spanSeed seeds root span IDs, which double as request IDs, so
+	// request N of every daemon gets the same X-Request-Id.
+	spanSeed = 1
+)
 
 // planner computes plans; the production implementation is *Core, and
 // chaos tests substitute a controllable stub.
@@ -66,15 +56,13 @@ type planner interface {
 	PlanDegraded(ctx context.Context, req Request) (*Plan, error)
 }
 
-// Server is the hardened multi-tenant advisor service. Request path:
-// admission (per-tenant token bucket) → cache → coalesce → bounded work
-// queue → planning core, with a degraded fallback past the budget and a
-// panic shield around every handler. See DESIGN.md §14.
+// Server is the hardened advisor service. Request path: cache → coalesce
+// → bounded work queue → planning core, with a degraded fallback past the
+// budget and a panic shield around every handler. See DESIGN.md §14.
 type Server struct {
 	cfg     Config
 	planner planner
 	met     *metrics
-	buckets *bucketSet
 	queue   *slotQueue
 	cache   *flight[string, *Plan] // full plans by Request.Key
 	mux     *http.ServeMux
@@ -85,7 +73,7 @@ type Server struct {
 
 	ready    atomic.Bool
 	draining atomic.Bool
-	admitMu  sync.Mutex     // serializes wg.Add vs the drain barrier
+	admitMu  sync.Mutex     // serializes admit's decisions and the drain barrier
 	wg       sync.WaitGroup // in-flight plan computations (background fills)
 
 	planCtx    context.Context
@@ -95,10 +83,7 @@ type Server struct {
 // NewServer builds a service around a fresh planning Core.
 func NewServer(cfg Config) *Server {
 	s := newServerShell(cfg)
-	s.planner = NewCore(CoreConfig{
-		Ctx:           s.planCtx,
-		DegradedScale: s.cfg.DegradedScale,
-	})
+	s.planner = NewCore(CoreConfig{Ctx: s.planCtx})
 	return s
 }
 
@@ -113,37 +98,18 @@ func newServerShell(cfg Config) *Server {
 	if cfg.QueueBound <= 0 {
 		cfg.QueueBound = 4
 	}
-	if cfg.TenantBurst <= 0 {
-		cfg.TenantBurst = int(2 * cfg.TenantRate)
-	}
-	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = 1024
-	}
-	if cfg.CacheEntries <= 0 {
-		cfg.CacheEntries = 256
-	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = 2 * time.Second
-	}
-	if cfg.ShedRetryAfter <= 0 {
-		cfg.ShedRetryAfter = time.Second
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
 	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(discardHandler{})
 	}
-	if cfg.SpanSeed == 0 {
-		cfg.SpanSeed = 1
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		met:        newMetrics(cfg.Reg),
-		buckets:    newBucketSet(cfg.TenantRate, cfg.TenantBurst, cfg.MaxTenants, cfg.Now),
+		met:        newMetrics(),
 		queue:      newSlotQueue(cfg.QueueBound),
-		cache:      newFlight[string, *Plan](cfg.CacheEntries),
+		cache:      newFlight[string, *Plan](cacheEntries),
 		mux:        http.NewServeMux(),
 		planCtx:    ctx,
 		planCancel: cancel,
@@ -158,8 +124,8 @@ func newServerShell(cfg Config) *Server {
 	return s
 }
 
-// nowMicro is the span clock: wall microseconds from the injected Now.
-func (s *Server) nowMicro() int64 { return s.cfg.Now().UnixMicro() }
+// nowMicro is the span clock: wall microseconds.
+func (s *Server) nowMicro() int64 { return time.Now().UnixMicro() }
 
 // statusWriter captures the response status for the request log, span,
 // and latency histogram.
@@ -190,9 +156,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	hist := s.met.routeLatency[route]
 	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := s.cfg.Now()
+		t0 := time.Now()
 		seq := s.reqSeq.Add(1) - 1
-		sp := s.cfg.Spans.Root("http."+route, s.cfg.SpanSeed, seq, t0.UnixMicro())
+		sp := s.cfg.Spans.Root("http."+route, spanSeed, seq, t0.UnixMicro())
 		reqID := sp.ID().String()
 		if sp == nil {
 			// Spans off: the request still gets a stable, unique ID.
@@ -204,7 +170,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		if sw.code == 0 {
 			sw.code = http.StatusOK
 		}
-		dur := s.cfg.Now().Sub(t0)
+		dur := time.Since(t0)
 		hist.Observe(dur.Seconds())
 		sp.Str("method", r.Method).Attr("status", int64(sw.code)).End(s.nowMicro())
 		s.httpLog.Info("request",
@@ -285,26 +251,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// tenantOf extracts the tenant identity: X-Advisor-Tenant header, then
-// ?tenant=, then "anon".
-func tenantOf(r *http.Request) string {
-	if t := r.Header.Get("X-Advisor-Tenant"); t != "" {
-		return t
-	}
-	if t := r.URL.Query().Get("tenant"); t != "" {
-		return t
-	}
-	return "anon"
-}
-
-// budgetOf resolves the request's full-sweep budget: ?budget_ms=N (or the
-// X-Advisor-Budget-Ms header) clamped to [1ms, cfg.Budget]; absent or
-// unparsable values mean the configured default.
+// budgetOf resolves the request's full-sweep budget: ?budget_ms=N clamped
+// to [1ms, cfg.Budget]; absent or unparsable values mean the configured
+// default.
 func (s *Server) budgetOf(r *http.Request) time.Duration {
 	v := r.URL.Query().Get("budget_ms")
-	if v == "" {
-		v = r.Header.Get("X-Advisor-Budget-Ms")
-	}
 	if v == "" {
 		return s.cfg.Budget
 	}
@@ -345,7 +296,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 
 	if !s.ready.Load() {
 		s.planLog.Info("shed", "request_id", reqID, "reason", "draining")
-		writeJSONError(w, http.StatusServiceUnavailable, "draining", "draining", s.cfg.ShedRetryAfter)
+		writeJSONError(w, http.StatusServiceUnavailable, "draining", "draining", shedRetryAfter)
 		return
 	}
 	req, err := parsePlanRequest(r)
@@ -354,23 +305,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, err.Error(), "bad-request", 0)
 		return
 	}
-	tenant := tenantOf(r)
-	tm := s.met.tenant(tenant)
-
-	// Admission gate 1: per-tenant token bucket.
-	adm := sp.Child("admission", 0, s.nowMicro()).Str("tenant", tenant)
-	wait := s.buckets.take(tenant)
-	if wait > 0 {
-		adm.Str("outcome", "shed-rate").End(s.nowMicro())
-		s.met.shed.Inc()
-		tm.shed.Inc()
-		s.planLog.Warn("shed", "request_id", reqID, "reason", "tenant-rate",
-			"tenant", tenant, "retry_after_s", wait.Seconds())
-		writeJSONError(w, http.StatusTooManyRequests,
-			fmt.Sprintf("tenant %q over rate", tenant), "tenant-rate", wait)
-		return
-	}
-	adm.Str("outcome", "ok").End(s.nowMicro())
 
 	// Cache: an identical canonical question already answered.
 	key := req.Key()
@@ -384,50 +318,11 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 	cs.Str("outcome", "miss").End(s.nowMicro())
 
-	// Coalesce: join an identical in-flight computation, or own a new one.
-	co := sp.Child("coalesce", 2, s.nowMicro())
-	c, owner := s.cache.join(key)
-	if owner {
-		// Admission gate 2: the bounded work queue. Only owners consume a
-		// slot — joiners ride along for free.
-		if !s.queue.tryAcquire() {
-			co.Str("outcome", "shed-queue").End(s.nowMicro())
-			s.cache.settle(key, c, nil, fmt.Errorf("queue full"), false)
-			s.met.shed.Inc()
-			tm.shed.Inc()
-			s.planLog.Warn("shed", "request_id", reqID, "reason", "queue-full", "tenant", tenant)
-			writeJSONError(w, http.StatusTooManyRequests, "work queue full", "queue-full", s.cfg.ShedRetryAfter)
-			return
-		}
-		// Re-check draining under admitMu so wg.Add never races Drain's
-		// Wait: past the barrier in Drain, no new member can join.
-		s.admitMu.Lock()
-		if s.draining.Load() {
-			s.admitMu.Unlock()
-			s.queue.release()
-			co.Str("outcome", "draining").End(s.nowMicro())
-			s.cache.settle(key, c, nil, fmt.Errorf("draining"), false)
-			s.planLog.Info("shed", "request_id", reqID, "reason", "draining")
-			writeJSONError(w, http.StatusServiceUnavailable, "draining", "draining", s.cfg.ShedRetryAfter)
-			return
-		}
-		s.met.admitted.Inc()
-		tm.admitted.Inc()
-		s.wg.Add(1)
-		s.admitMu.Unlock()
-		co.Str("outcome", "owner").End(s.nowMicro())
-		go func() {
-			defer s.wg.Done()
-			defer s.queue.release()
-			p, err := s.planShielded(req)
-			// Only full plans are kept: a degraded answer is a budget
-			// artifact, and a failure is retried by the next ask.
-			s.cache.settle(key, c, p, err, err == nil && !p.Degraded)
-		}()
-	} else {
-		s.met.coalesced.Inc()
-		tm.coalesced.Inc()
-		co.Str("outcome", "joined").End(s.nowMicro())
+	// Coalesce onto an identical computation in flight, or be admitted to
+	// own a new one.
+	c := s.admit(w, sp, key, req)
+	if c == nil {
+		return
 	}
 
 	// Wait for the sweep, degrade past the budget, bail if the client goes.
@@ -457,14 +352,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 				s.planLog.Warn("over budget, fallback failed", "request_id", reqID,
 					"key", key, "err", derr.Error())
 				writeJSONError(w, http.StatusServiceUnavailable,
-					fmt.Sprintf("over budget and fallback failed: %v", derr), "over-budget", s.cfg.ShedRetryAfter)
+					fmt.Sprintf("over budget and fallback failed: %v", derr), "over-budget", shedRetryAfter)
 			}
 			return
 		}
 		dg.Str("outcome", "degraded").End(s.nowMicro())
 		pw.Str("outcome", "degraded").End(s.nowMicro())
 		s.met.degraded.Inc()
-		tm.degraded.Inc()
 		s.planLog.Info("degraded answer", "request_id", reqID, "key", key)
 		s.writePlan(w, dp)
 	case <-r.Context().Done():
@@ -472,6 +366,61 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		pw.Str("outcome", "cancelled").End(s.nowMicro())
 		writeJSONError(w, http.StatusServiceUnavailable, "client cancelled", "cancelled", 0)
 	}
+}
+
+// admit joins the identical computation in flight, which costs no queue
+// slot, or, with none in flight, admits the request to own a new one: it
+// takes a work-queue slot, checks that the server is not draining, joins
+// the drain group, and only then publishes the call and starts the
+// computation that settles it. The lookup and the admission both hold
+// admitMu, so a request that joins a call always waits on a plan, never
+// on another request's shed, and a request is shed only while no
+// identical call is in flight. A request turned away is answered here
+// (429 queue full, 503 draining) and gets nil.
+func (s *Server) admit(w http.ResponseWriter, sp *span.Active, key string, req Request) *call[*Plan] {
+	reqID := w.Header().Get("X-Request-Id")
+	co := sp.Child("coalesce", 2, s.nowMicro())
+	s.admitMu.Lock()
+	if c := s.cache.pending(key); c != nil {
+		s.admitMu.Unlock()
+		s.met.coalesced.Inc()
+		co.Str("outcome", "joined").End(s.nowMicro())
+		return c
+	}
+	co.Str("outcome", "owner").End(s.nowMicro())
+	adm := sp.Child("admission", 0, s.nowMicro())
+	if !s.queue.tryAcquire() {
+		s.admitMu.Unlock()
+		adm.Str("outcome", "shed-queue").End(s.nowMicro())
+		s.met.shed.Inc()
+		s.planLog.Warn("shed", "request_id", reqID, "reason", "queue-full")
+		writeJSONError(w, http.StatusTooManyRequests, "work queue full", "queue-full", shedRetryAfter)
+		return nil
+	}
+	// Checking draining under admitMu keeps wg.Add from racing Drain's
+	// Wait: past the barrier in Drain, no new member can join.
+	if s.draining.Load() {
+		s.queue.release()
+		s.admitMu.Unlock()
+		adm.Str("outcome", "draining").End(s.nowMicro())
+		s.planLog.Info("shed", "request_id", reqID, "reason", "draining")
+		writeJSONError(w, http.StatusServiceUnavailable, "draining", "draining", shedRetryAfter)
+		return nil
+	}
+	s.wg.Add(1)
+	c, _ := s.cache.join(key) // the owner: every publish holds admitMu
+	s.admitMu.Unlock()
+	s.met.admitted.Inc()
+	adm.Str("outcome", "ok").End(s.nowMicro())
+	go func() {
+		defer s.wg.Done()
+		defer s.queue.release()
+		p, err := s.planShielded(req)
+		// Only full plans are kept: a degraded answer is a budget
+		// artifact, and a failure is retried by the next ask.
+		s.cache.settle(key, c, p, err, err == nil && !p.Degraded)
+	}()
+	return c
 }
 
 // planOutcome classifies a finished computation for spans and logs, in
@@ -521,7 +470,7 @@ func (s *Server) respondPlan(w http.ResponseWriter, p *Plan, err error) {
 	case errors.Is(err, ErrInfeasible):
 		writeJSONError(w, http.StatusUnprocessableEntity, err.Error(), "infeasible", 0)
 	case isCancellation(err):
-		writeJSONError(w, http.StatusServiceUnavailable, "planning aborted: "+err.Error(), "aborted", s.cfg.ShedRetryAfter)
+		writeJSONError(w, http.StatusServiceUnavailable, "planning aborted: "+err.Error(), "aborted", shedRetryAfter)
 	default:
 		writeJSONError(w, http.StatusInternalServerError, err.Error(), "plan-error", 0)
 	}
@@ -532,10 +481,10 @@ func isCancellation(err error) bool {
 }
 
 // errorBody is the wire form of every non-200 answer. Reason is the
-// machine-readable failure class ("queue-full", "tenant-rate",
-// "draining", ...) so clients can branch without parsing the message;
-// RetryAfterS mirrors the Retry-After header into the body, and
-// RequestID echoes X-Request-Id for log correlation.
+// machine-readable failure class ("queue-full", "draining", ...) so
+// clients can branch without parsing the message; RetryAfterS mirrors the
+// Retry-After header into the body, and RequestID echoes X-Request-Id for
+// log correlation.
 type errorBody struct {
 	Error        string `json:"error"`
 	Reason       string `json:"reason,omitempty"`

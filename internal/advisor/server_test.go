@@ -229,67 +229,6 @@ func TestServerShedsWhenQueueFull(t *testing.T) {
 	}
 }
 
-func TestServerPerTenantRateLimit(t *testing.T) {
-	var mu sync.Mutex
-	now := time.Unix(1700000000, 0)
-	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-	srv := newServerWith(Config{
-		TenantRate: 1, TenantBurst: 2,
-		Now: clock,
-	}, &stubPlanner{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	get := func(tenant string, pc float64) (int, http.Header) {
-		req, _ := http.NewRequest(http.MethodGet, planURL(ts.URL, pc), nil)
-		req.Header.Set("X-Advisor-Tenant", tenant)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, resp.Header
-	}
-
-	// Burst of 2 admitted; the third is over rate. Distinct petacycles so
-	// the cache never answers (cache hits bypass admission accounting).
-	if code, _ := get("alice", 1); code != 200 {
-		t.Fatalf("first = %d", code)
-	}
-	if code, _ := get("alice", 2); code != 200 {
-		t.Fatalf("second = %d", code)
-	}
-	code, hdr := get("alice", 3)
-	if code != 429 {
-		t.Fatalf("third = %d, want 429", code)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("rate shed without Retry-After")
-	}
-	// Another tenant has its own bucket.
-	if code, _ := get("bob", 4); code != 200 {
-		t.Fatalf("bob = %d, want 200", code)
-	}
-	// Advancing the injected clock refills alice.
-	advance(3 * time.Second)
-	if code, _ := get("alice", 5); code != 200 {
-		t.Fatalf("alice after refill = %d, want 200", code)
-	}
-	// Per-tenant ledger saw the shed.
-	snap := srv.Metrics().Snapshot()
-	if m, ok := snap.Get("advisor_tenant_alice_shed_total"); !ok || m.Value != 1 {
-		t.Fatalf("advisor_tenant_alice_shed_total = %+v, want 1", m)
-	}
-	if m, ok := snap.Get("advisor_tenant_bob_admitted_total"); !ok || m.Value != 1 {
-		t.Fatalf("advisor_tenant_bob_admitted_total = %+v, want 1", m)
-	}
-	if err := srv.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain: %v", err)
-	}
-}
-
 func TestServerCoalescesIdenticalRequests(t *testing.T) {
 	p := &stubPlanner{gate: make(chan struct{})}
 	srv := newServerWith(Config{QueueBound: 2}, p)
@@ -411,7 +350,6 @@ func TestServerMetricsEndpoint(t *testing.T) {
 		"advisor_requests_total 1", // only /plan requests count
 		"advisor_admitted_total 1",
 		"advisor_shed_total 0",
-		"advisor_tenant_anon_admitted_total 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -482,49 +420,34 @@ func waitFor(t *testing.T, cond func() bool) {
 // mirror, and the request ID — not just the headers.
 func TestServerShedBodyReasonAndRetry(t *testing.T) {
 	p := &stubPlanner{gate: make(chan struct{})}
-	srv := newServerWith(Config{QueueBound: 1, TenantRate: 1, TenantBurst: 1}, p)
+	srv := newServerWith(Config{QueueBound: 1}, p)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	get := func(tenant string, pc float64) (int, string, http.Header) {
-		req, _ := http.NewRequest(http.MethodGet, planURL(ts.URL, pc), nil)
-		req.Header.Set("X-Advisor-Tenant", tenant)
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, string(b), resp.Header
-	}
-
-	// Occupy the only queue slot with a held request from alice.
+	// Occupy the only queue slot with a held request.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if code, body, _ := get("alice", 1); code != 200 {
+		if code, body, _ := getBody(t, ts.Client(), planURL(ts.URL, 1)); code != 200 {
 			t.Errorf("held request = %d %q, want 200", code, body)
 		}
 	}()
 	waitFor(t, func() bool { return srv.queue.depth() == 1 })
 
-	// Alice again: over rate at the token bucket.
-	code, body, hdr := get("alice", 2)
+	// A different question finds the queue full.
+	code, body, hdr := getBody(t, ts.Client(), planURL(ts.URL, 2))
 	if code != http.StatusTooManyRequests {
-		t.Fatalf("rate shed = %d %q, want 429", code, body)
+		t.Fatalf("queue shed = %d %q, want 429", code, body)
 	}
 	var e errorBody
 	if err := json.Unmarshal([]byte(body), &e); err != nil {
 		t.Fatalf("shed body not JSON: %v\n%s", err, body)
 	}
-	if e.Reason != "tenant-rate" {
-		t.Errorf("rate-shed reason = %q, want tenant-rate", e.Reason)
+	if e.Reason != "queue-full" {
+		t.Errorf("shed reason = %q, want queue-full", e.Reason)
 	}
 	if e.RetryAfterS < 1 {
-		t.Errorf("rate-shed retry_after_s = %d, want >= 1", e.RetryAfterS)
+		t.Errorf("shed retry_after_s = %d, want >= 1", e.RetryAfterS)
 	}
 	if got := hdr.Get("Retry-After"); got != strconv.FormatInt(e.RetryAfterS, 10) {
 		t.Errorf("Retry-After header %q does not mirror body retry_after_s %d", got, e.RetryAfterS)
@@ -533,26 +456,105 @@ func TestServerShedBodyReasonAndRetry(t *testing.T) {
 		t.Errorf("body request_id %q != X-Request-Id header %q", e.RequestID, hdr.Get("X-Request-Id"))
 	}
 
-	// Bob passes the bucket and finds the queue full.
-	code, body, hdr = get("bob", 3)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("queue shed = %d %q, want 429", code, body)
-	}
-	e = errorBody{}
-	if err := json.Unmarshal([]byte(body), &e); err != nil {
-		t.Fatalf("shed body not JSON: %v\n%s", err, body)
-	}
-	if e.Reason != "queue-full" {
-		t.Errorf("queue-shed reason = %q, want queue-full", e.Reason)
-	}
-	if got := hdr.Get("Retry-After"); got != strconv.FormatInt(e.RetryAfterS, 10) {
-		t.Errorf("Retry-After header %q does not mirror body retry_after_s %d", got, e.RetryAfterS)
-	}
-
 	close(p.gate)
 	<-done
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// serveBurst sends width identical in-process requests for url at once
+// and returns their answers when all have been served.
+func serveBurst(h http.Handler, url string, width int) []*httptest.ResponseRecorder {
+	recs := make([]*httptest.ResponseRecorder, width)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+		wg.Add(1)
+		go func(rec *httptest.ResponseRecorder) {
+			defer wg.Done()
+			<-start
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		}(recs[i])
+	}
+	close(start)
+	wg.Wait()
+	return recs
+}
+
+// TestServerShedBurstOfIdenticalRequests fires bursts of identical
+// requests for an uncached question while a wedged plan holds the only
+// queue slot. Every request must be shed with a typed 429: a request that
+// arrives while another is being turned away must not inherit that shed
+// as a 500. advisor_shed_total counts each of them.
+func TestServerShedBurstOfIdenticalRequests(t *testing.T) {
+	p := &stubPlanner{gate: make(chan struct{})}
+	srv := newServerWith(Config{QueueBound: 1}, p)
+	h := srv.Handler()
+
+	// Occupy the only slot with a request the stub holds open.
+	held := make(chan int)
+	go func() { held <- serveBurst(h, planURL("", 1), 1)[0].Code }()
+	waitFor(t, func() bool { return srv.queue.depth() == 1 })
+
+	const bursts, width = 200, 32
+	codes := map[int]int{}
+	var bad []string
+	for b := 0; b < bursts; b++ {
+		// Each burst asks a question no burst asked before.
+		for _, rec := range serveBurst(h, planURL("", float64(2+b)), width) {
+			codes[rec.Code]++
+			var e errorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusTooManyRequests ||
+				err != nil || e.Reason != "queue-full" || rec.Header().Get("Retry-After") == "" {
+				bad = append(bad, fmt.Sprintf("%d %s", rec.Code, rec.Body.Bytes()))
+			}
+		}
+	}
+	if len(bad) > 0 {
+		t.Fatalf("status codes %v over %d requests; want every one a queue-full 429 with Retry-After; first bad: %s",
+			codes, bursts*width, bad[0])
+	}
+	if n := srv.met.shed.Load(); n != bursts*width {
+		t.Fatalf("advisor_shed_total = %d, want %d", n, bursts*width)
+	}
+
+	close(p.gate)
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request = %d, want 200", code)
+	}
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// TestServerCoalescesBurstAtOneSlot fires bursts of identical requests at
+// an idle server with one queue slot: the first is admitted and every
+// other joins its computation, however closely they arrive. None is shed
+// for the slot its own question holds.
+func TestServerCoalescesBurstAtOneSlot(t *testing.T) {
+	const bursts, width = 200, 32
+	for b := 0; b < bursts; b++ {
+		p := &stubPlanner{gate: make(chan struct{})}
+		srv := newServerWith(Config{QueueBound: 1}, p)
+		served := make(chan []*httptest.ResponseRecorder)
+		go func() { served <- serveBurst(srv.Handler(), planURL("", 7), width) }()
+		waitFor(t, func() bool {
+			return srv.met.admitted.Load()+srv.met.coalesced.Load()+srv.met.shed.Load() == width
+		})
+		close(p.gate)
+		codes := map[int]int{}
+		for _, rec := range <-served {
+			codes[rec.Code]++
+		}
+		if codes[http.StatusOK] != width || srv.met.admitted.Load() != 1 || p.calls.Load() != 1 {
+			t.Fatalf("burst %d: status codes %v, %d admitted, %d planner calls; want %d OK, 1, 1",
+				b, codes, srv.met.admitted.Load(), p.calls.Load(), width)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
 	}
 }
 
@@ -568,7 +570,7 @@ func TestServerRequestSpansAndManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServerWith(Config{Spans: rec, SpanSeed: 7, Log: logger}, &stubPlanner{})
+	srv := newServerWith(Config{Spans: rec, Log: logger}, &stubPlanner{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -129,6 +129,7 @@ func Federation(l *Lab) (*FederationResult, error) {
 			m.fedShardUtil.Observe(s.Utilization)
 		}
 		overall, native := fl.Utilization()
+		lat, wait := fl.UnitLatency(), fl.NativeWait()
 		res.Rows[cell] = FedRow{
 			Policy:      pol.Name(),
 			Fleet:       n,
@@ -138,8 +139,8 @@ func Federation(l *Lab) (*FederationResult, error) {
 			Done:        st.InterstDone,
 			Steals:      st.StolenUnits,
 			Migrations:  st.Migrations,
-			UnitLatH:    fl.UnitLatency().Mean / 3600,
-			NativeWaitH: fl.NativeWait().Mean / 3600,
+			UnitLatH:    lat.Mean() / 3600,
+			NativeWaitH: wait.Mean() / 3600,
 			Digest:      fl.Digest(),
 		}
 	})

@@ -166,9 +166,6 @@ type Stats struct {
 	Shards      []ShardStats
 }
 
-// Stat is a one-pass summary of a latency/wait distribution.
-type Stat = stats.Summary
-
 // Fleet is a configured federation run. Build with New, drive with Run,
 // then read Digest/Stats/UnitLatency/NativeWait.
 type Fleet struct {
@@ -185,8 +182,8 @@ type Fleet struct {
 	unitSeq int64
 
 	digest  Digest64
-	waits   *stats.StreamSummary // native queue waits, seconds
-	unitLat *stats.StreamSummary // grant-to-retire unit latency, seconds
+	waits   stats.Welford // native queue waits, seconds
+	unitLat stats.Welford // grant-to-retire unit latency, seconds
 	stats   Stats
 	ran     bool
 }
@@ -217,8 +214,6 @@ func New(cfg Config) (*Fleet, error) {
 		metered: metered,
 		r:       rng.New(rng.DeriveSeed(cfg.Seed, 1<<33)),
 		digest:  NewDigest(),
-		waits:   stats.NewStreamSummary(),
-		unitLat: stats.NewStreamSummary(),
 	}
 	for i, m := range cfg.Machines {
 		p := m.Profile
@@ -611,10 +606,10 @@ func (f *Fleet) Digest() uint64 { return uint64(f.digest) }
 
 // UnitLatency summarizes grant-to-retirement latency of the routed work
 // units, in seconds.
-func (f *Fleet) UnitLatency() Stat { return f.unitLat.Summary() }
+func (f *Fleet) UnitLatency() stats.Welford { return f.unitLat }
 
 // NativeWait summarizes native queue waits across the fleet, in seconds.
-func (f *Fleet) NativeWait() Stat { return f.waits.Summary() }
+func (f *Fleet) NativeWait() stats.Welford { return f.waits }
 
 // Utilization reports the fleet-wide overall and native utilization:
 // CPU-seconds served over capacity, capacity-weighted across shards.

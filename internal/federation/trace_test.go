@@ -84,8 +84,8 @@ func TestFleetTracing(t *testing.T) {
 	if !(overall > 0 && overall <= 1) || !(native > 0 && native < overall) {
 		t.Errorf("implausible utilization overall %.3f native %.3f", overall, native)
 	}
-	if fl.UnitLatency().N == 0 || fl.NativeWait().N == 0 {
-		t.Errorf("empty latency/wait summaries: %+v %+v", fl.UnitLatency(), fl.NativeWait())
+	if lat, wait := fl.UnitLatency(), fl.NativeWait(); lat.N() == 0 || wait.N() == 0 {
+		t.Errorf("empty latency/wait summaries: %d units, %d natives", lat.N(), wait.N())
 	}
 }
 

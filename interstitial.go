@@ -11,8 +11,8 @@
 // The facade wraps the full simulation stack:
 //
 //   - Machine and MachineByName: the three ASCI machine testbeds.
-//   - GenerateLog / CalibratedLog: synthetic native logs matched to the
-//     paper's Table 1 statistics.
+//   - CalibratedLog: synthetic native logs matched to the paper's Table 1
+//     statistics.
 //   - RunNative: baseline native-only simulation.
 //   - RunProject: a finite interstitial project co-simulated with the
 //     native log (fallible mode — the realistic deployment).
